@@ -48,13 +48,11 @@ int main() {
       FLOR_CHECK(overhead <= epsilon + 1e-9)
           << name << ": overhead exceeded epsilon";
 
-      sim::ClusterReplayOptions copts;
-      copts.run_prefix = "run";
-      copts.cluster.num_machines = 1;
-      copts.costs = sim::PaperPlatformCosts();
-      auto replay = sim::ClusterReplay(
+      // One 4-GPU machine.
+      auto replay = RunPartitionedReplay(
           workloads::MakeWorkloadFactory(profile, workloads::kProbeInner),
-          &fs, copts);
+          &fs, bench::PaperPlan(sim::kP3_8xLarge.gpus, InitMode::kStrong),
+          SimRunner());
       FLOR_CHECK(replay.ok()) << replay.status().ToString();
       FLOR_CHECK(replay->deferred.ok);
 

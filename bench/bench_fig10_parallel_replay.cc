@@ -9,25 +9,25 @@
 // partitions, so 4 GPUs can at best reach (max segment / epochs) of vanilla
 // time (paper: 2/6 = 33%).
 //
-// Two engines run:
-//   * simulated (sim::ClusterReplay) — paper-scale latencies on per-worker
-//     simulated clocks;
-//   * real (exec::ReplayExecutor) — the same partition plan on an actual
+// One replay call (RunPartitionedReplay), three runners:
+//   * sim (SimRunner) — paper-scale latencies on per-worker simulated
+//     clocks;
+//   * real (exec::ThreadRunner) — the same partition plan on an actual
 //     thread pool, measured with the wall clock, 4 partitions at 1/2/4
 //     threads. The merged multi-thread log is verified byte-identical to
 //     the 1-thread log on every run;
-//   * proc (exec::ProcessReplayExecutor) — the same plan again, one forked
-//     worker process per partition (the paper's per-GPU deployment shape),
-//     same wall_batch_seconds device-time model, merged log verified
-//     byte-identical to the thread engine.
+//   * proc (exec::ForkRunner) — the same plan again, one forked worker
+//     process per partition (the paper's per-GPU deployment shape), same
+//     wall_batch_seconds device-time model, merged log verified
+//     byte-identical to the thread runner.
 //
 // Set BENCH_JSON=<path> to capture all sections as JSON rows.
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "exec/process_executor.h"
-#include "exec/replay_executor.h"
+#include "exec/fork_runner.h"
+#include "exec/thread_runner.h"
 
 int main() {
   using namespace flor;
@@ -57,13 +57,11 @@ int main() {
     int64_t segments = 0;
     InitMode effective[2] = {InitMode::kWeak, InitMode::kStrong};
     for (int m = 0; m < 2; ++m) {
-      sim::ClusterReplayOptions copts;
-      copts.run_prefix = "run";
-      copts.cluster.num_machines = 1;
-      copts.cluster.instance = sim::kP3_8xLarge;
-      copts.init_mode = m == 0 ? InitMode::kWeak : InitMode::kStrong;
-      copts.costs = sim::PaperPlatformCosts();
-      auto result = sim::ClusterReplay(factory, &fs, copts);
+      auto result = RunPartitionedReplay(
+          factory, &fs,
+          bench::PaperPlan(sim::kP3_8xLarge.gpus,
+                           m == 0 ? InitMode::kWeak : InitMode::kStrong),
+          SimRunner());
       FLOR_CHECK(result.ok()) << result.status().ToString();
       FLOR_CHECK(result->deferred.ok)
           << profile.name << ": "
@@ -117,14 +115,10 @@ int main() {
   double single_thread_wall = 0;
   double speedup_at_4 = 0;
   for (int threads : {1, 2, 4}) {
-    exec::ReplayExecutorOptions xopts;
-    xopts.run_prefix = "run";
-    xopts.num_threads = threads;
-    xopts.num_partitions = 4;  // the paper's 4 GPUs
-    xopts.init_mode = InitMode::kWeak;
-    xopts.costs = sim::PaperPlatformCosts();
-    exec::ReplayExecutor executor(&real_fs, xopts);
-    auto result = executor.Run(real_factory);
+    auto result = RunPartitionedReplay(
+        real_factory, &real_fs,
+        bench::PaperPlan(/*workers=*/4, InitMode::kWeak),  // 4 GPUs
+        exec::ThreadRunner(threads));
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok)
         << (result->deferred.anomalies.empty()
@@ -145,7 +139,7 @@ int main() {
     std::printf("%8d %12s %8.2fx %8.2fx %7lld\n", threads,
                 HumanSeconds(result->wall_seconds).c_str(), speedup,
                 static_cast<double>(threads),
-                static_cast<long long>(result->steals));
+                static_cast<long long>(result->runner.steals));
     json.Row()
         .Field("engine", "real")
         .Field("workload", real_profile.name)
@@ -154,7 +148,7 @@ int main() {
         .Field("wall_seconds", result->wall_seconds)
         .Field("latency_seconds", result->latency_seconds)
         .Field("speedup_vs_1_thread", speedup)
-        .Field("steals", result->steals)
+        .Field("steals", result->runner.steals)
         .Field("merged_logs_match_single_thread",
                threads == 1 || merged == single_thread_logs);
   }
@@ -172,17 +166,14 @@ int main() {
   double one_proc_wall = 0;
   double proc_speedup_at_4 = 0;
   for (int procs : {1, 2, 4}) {
-    exec::ProcessReplayExecutorOptions popts;
-    popts.run_prefix = "run";
-    popts.num_partitions = procs;
     // One pool slot per partition, as on a cluster with one node per
     // modeled GPU: the scheduler must not serialize device-bound
     // partitions behind this host's core count.
-    popts.max_concurrent_children = procs;
-    popts.init_mode = InitMode::kWeak;
-    popts.costs = sim::PaperPlatformCosts();
-    exec::ProcessReplayExecutor executor(&real_fs, popts);
-    auto result = executor.Run(real_factory);
+    exec::ForkRunnerOptions fork;
+    fork.max_concurrent_children = procs;
+    auto result = RunPartitionedReplay(
+        real_factory, &real_fs, bench::PaperPlan(procs, InitMode::kWeak),
+        exec::ForkRunner(fork));
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok)
         << (result->deferred.anomalies.empty()

@@ -20,21 +20,18 @@ namespace {
 using namespace flor;
 
 /// Cluster replay with as many machines (from a pool of 4) as keep helping.
-sim::ClusterReplayResult BestOverPool(const ProgramFactory& factory,
-                                      MemFileSystem* fs, int* machines_used) {
-  sim::ClusterReplayResult best;
+PartitionedReplayResult BestOverPool(const ProgramFactory& factory,
+                                     MemFileSystem* fs, int* machines_used) {
+  PartitionedReplayResult best;
   bool first = true;
   for (int machines = 1; machines <= 4; ++machines) {
-    sim::ClusterReplayOptions copts;
-    copts.run_prefix = "run";
-    copts.cluster.num_machines = machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
     // Weak initialization: strong init would re-run every preceding
     // epoch's unskippable statements per worker, erasing the gains of
     // partial replay (the paper's scale-out runs use weak init, Fig. 13).
-    copts.init_mode = InitMode::kWeak;
-    copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(factory, fs, copts);
+    auto result = RunPartitionedReplay(
+        factory, fs,
+        bench::PaperPlan(machines * sim::kP3_8xLarge.gpus, InitMode::kWeak),
+        SimRunner());
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
     if (first || result->latency_seconds < best.latency_seconds * 0.98) {

@@ -5,18 +5,18 @@
 // ideal explained by load balancing: 200 epochs over 16 workers means some
 // worker does ceil(200/16) = 13 epochs, capping speedup at 200/13 = 15.38x.
 //
-// A second section sweeps the *real* thread-pool engine over worker-thread
-// counts on the standard executor workload: same partition planner, wall
-// clock instead of simulated clocks. A third sweeps the process engine
-// (fork per partition — the paper's per-GPU deployment) over the same
-// curve, byte-checked against the thread engine. Set BENCH_JSON=<path> to
+// A second section sweeps the thread runner over worker-thread counts on
+// the standard executor workload: same replay call and partition planner,
+// wall clock instead of simulated clocks. A third sweeps the fork runner (fork
+// per partition — the paper's per-GPU deployment) over the same curve,
+// byte-checked against the thread runner. Set BENCH_JSON=<path> to
 // capture all curves as JSON rows.
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "exec/process_executor.h"
-#include "exec/replay_executor.h"
+#include "exec/fork_runner.h"
+#include "exec/thread_runner.h"
 
 int main() {
   using namespace flor;
@@ -45,13 +45,11 @@ int main() {
 
   const int max_machines = bench::SmokeIters(4, 1);
   for (int machines = 1; machines <= max_machines; ++machines) {
-    sim::ClusterReplayOptions copts;
-    copts.run_prefix = "run";
-    copts.cluster.num_machines = machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
-    copts.init_mode = InitMode::kWeak;  // the paper's Fig. 13 uses weak
-    copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(factory, &fs, copts);
+    // The paper's Fig. 13 uses weak init.
+    auto result = RunPartitionedReplay(
+        factory, &fs,
+        bench::PaperPlan(machines * sim::kP3_8xLarge.gpus, InitMode::kWeak),
+        SimRunner());
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
 
@@ -96,14 +94,11 @@ int main() {
   std::string thread_logs;
   const int max_threads = bench::SmokeIters(8, 2);
   for (int threads = 1; threads <= max_threads; threads *= 2) {
-    exec::ReplayExecutorOptions xopts;
-    xopts.run_prefix = "run";
-    xopts.num_threads = threads;
-    xopts.num_partitions = threads;  // scale-out: G grows with the pool
-    xopts.init_mode = InitMode::kWeak;
-    xopts.costs = sim::PaperPlatformCosts();
-    exec::ReplayExecutor executor(&real_fs, xopts);
-    auto result = executor.Run(real_factory);
+    // Scale-out: G grows with the pool.
+    const ClusterPlanOptions plan =
+        bench::PaperPlan(threads, InitMode::kWeak);
+    auto result = RunPartitionedReplay(real_factory, &real_fs, plan,
+                                       exec::ThreadRunner(threads));
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
 
@@ -137,16 +132,14 @@ int main() {
 
   double one_proc_wall = 0;
   for (int procs = 1; procs <= max_threads; procs *= 2) {
-    exec::ProcessReplayExecutorOptions popts;
-    popts.run_prefix = "run";
-    popts.num_partitions = procs;  // scale-out: one process per partition
+    // Scale-out: one process per partition.
+    const ClusterPlanOptions plan = bench::PaperPlan(procs, InitMode::kWeak);
+    exec::ForkRunnerOptions fork;
     // One pool slot per partition (a cluster node per modeled GPU); the
     // elastic sweep below is where the pool shrinks under G.
-    popts.max_concurrent_children = procs;
-    popts.init_mode = InitMode::kWeak;
-    popts.costs = sim::PaperPlatformCosts();
-    exec::ProcessReplayExecutor executor(&real_fs, popts);
-    auto result = executor.Run(real_factory);
+    fork.max_concurrent_children = procs;
+    auto result = RunPartitionedReplay(real_factory, &real_fs, plan,
+                                       exec::ForkRunner(fork));
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
     FLOR_CHECK(result->merged_logs.Serialize() == thread_logs)
@@ -188,26 +181,24 @@ int main() {
   double full_pool_wall = 0;
   for (int pool : {8, 4, 2}) {
     if (pool > elastic_parts) continue;  // smoke trims the sweep
-    exec::ProcessReplayExecutorOptions popts;
-    popts.run_prefix = "run";
-    popts.num_partitions = elastic_parts;
-    popts.max_concurrent_children = pool;
-    popts.init_mode = InitMode::kWeak;
-    popts.costs = sim::PaperPlatformCosts();
-    exec::ProcessReplayExecutor executor(&real_fs, popts);
-    auto result = executor.Run(real_factory);
+    const ClusterPlanOptions plan =
+        bench::PaperPlan(elastic_parts, InitMode::kWeak);
+    exec::ForkRunnerOptions fork;
+    fork.max_concurrent_children = pool;
+    auto result = RunPartitionedReplay(real_factory, &real_fs, plan,
+                                       exec::ForkRunner(fork));
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
     FLOR_CHECK(result->merged_logs.Serialize() == thread_logs)
         << "process engine diverges from thread engine at G="
         << elastic_parts << " pool=" << pool;
-    FLOR_CHECK(result->max_observed_children <= pool);
+    FLOR_CHECK(result->runner.max_observed_children <= pool);
 
     if (full_pool_wall == 0) full_pool_wall = result->wall_seconds;
     const double slowdown = result->wall_seconds / full_pool_wall;
     std::printf("%8d %6d %12s %8.2fx %7d\n", pool, result->workers_used,
                 HumanSeconds(result->wall_seconds).c_str(), slowdown,
-                result->total_forks);
+                result->runner.total_forks);
     json.Row()
         .Field("engine", "proc")
         .Field("stage", "elastic_pool")
@@ -215,7 +206,7 @@ int main() {
         .Field("partitions", result->workers_used)
         .Field("pool", pool)
         .Field("wall_seconds", result->wall_seconds)
-        .Field("total_forks", result->total_forks)
+        .Field("total_forks", result->runner.total_forks)
         .Field("slowdown_fraction_vs_full_pool", slowdown)
         .Field("merged_logs_match_thread_engine", true);
   }

@@ -57,24 +57,20 @@ int main() {
         bench::RunVanilla(&fs, profile, workloads::kProbeInner);
     const double serial_cost = sim::InstanceCost(sim::kP3_2xLarge, vanilla);
 
-    sim::ClusterReplayOptions copts;
-    copts.run_prefix = "run";
-    copts.cluster.num_machines = c.machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
-    copts.init_mode = InitMode::kWeak;
-    copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(
+    const sim::Cluster cluster{sim::kP3_8xLarge, c.machines};
+    auto result = RunPartitionedReplay(
         workloads::MakeWorkloadFactory(profile, workloads::kProbeInner), &fs,
-        copts);
+        bench::PaperPlan(cluster.total_gpus(), InitMode::kWeak), SimRunner());
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
+    const double cost = sim::TotalClusterCost(
+        sim::PriceCluster(cluster, result->worker_seconds));
 
     std::printf("%-6s-%-3d %12s %10s %12s %10s %7.2fx\n", c.name,
                 c.machines, HumanSeconds(vanilla).c_str(),
                 HumanDollars(serial_cost).c_str(),
                 HumanSeconds(result->latency_seconds).c_str(),
-                HumanDollars(result->total_cost_dollars).c_str(),
-                result->total_cost_dollars / serial_cost);
+                HumanDollars(cost).c_str(), cost / serial_cost);
     json.Row()
         .Field("stage", "serial_vs_parallel")
         .Field("workload", c.name)
@@ -82,7 +78,7 @@ int main() {
         .Field("serial_seconds", vanilla)
         .Field("serial_cost_dollars", serial_cost)
         .Field("parallel_seconds", result->latency_seconds)
-        .Field("parallel_cost_dollars", result->total_cost_dollars);
+        .Field("parallel_cost_dollars", cost);
   }
   bench::Hr();
   std::printf("Paper shape: parallel replay costs about the same as serial "
@@ -150,20 +146,19 @@ int main() {
           nominal * fs.ListPrefix("s3/run/ckpt/").size();
       const double s3_monthly = S3MonthlyCost(bucket_bytes);
 
-      sim::ClusterReplayOptions copts;
-      copts.run_prefix = "run";
-      copts.cluster.num_machines = frontier_case.machines;
-      copts.cluster.instance = sim::kP3_8xLarge;
-      copts.init_mode = InitMode::kWeak;
-      copts.costs = sim::PaperPlatformCosts();
-      copts.bucket_prefix = "s3";
-      copts.bucket_rehydrate = false;  // every bucket restore stays visible
-      auto replay = sim::ClusterReplay(
+      const sim::Cluster cluster{sim::kP3_8xLarge, frontier_case.machines};
+      ClusterPlanOptions plan =
+          bench::PaperPlan(cluster.total_gpus(), InitMode::kWeak);
+      plan.bucket_prefix = "s3";
+      plan.bucket_rehydrate = false;  // every bucket restore stays visible
+      auto replay = RunPartitionedReplay(
           workloads::MakeWorkloadFactory(frontier_profile,
                                          workloads::kProbeInner),
-          &fs, copts);
+          &fs, plan, SimRunner());
       FLOR_CHECK(replay.ok()) << replay.status().ToString();
       FLOR_CHECK(replay->deferred.ok);
+      const double cluster_cost = sim::TotalClusterCost(
+          sim::PriceCluster(cluster, replay->worker_seconds));
 
       // Retention must never change what hindsight replay computes: every
       // point's merged logs are byte-identical to the unretired baseline.
@@ -196,7 +191,7 @@ int main() {
                   HumanDollars(s3_monthly).c_str(),
                   HumanSeconds(replay->latency_seconds).c_str(),
                   static_cast<long long>(replay->bucket_faults),
-                  HumanDollars(replay->total_cost_dollars).c_str());
+                  HumanDollars(cluster_cost).c_str());
       json.Row()
           .Field("stage", "tiered_frontier")
           .Field("workload", frontier_case.name)
@@ -208,7 +203,7 @@ int main() {
           .Field("s3_monthly_cost_dollars", s3_monthly)
           .Field("bucket_faults", replay->bucket_faults)
           .Field("latency_seconds", replay->latency_seconds)
-          .Field("cluster_cost_dollars", replay->total_cost_dollars);
+          .Field("cluster_cost_dollars", cluster_cost);
     }
   }
   bench::Hr();

@@ -11,8 +11,9 @@
 #include "common/strings.h"
 #include "flor/record.h"
 #include "flor/replay.h"
+#include "flor/replay_plan.h"
+#include "sim/cluster.h"
 #include "sim/cost_model.h"
-#include "sim/parallel_replay.h"
 #include "workloads/profiles.h"
 #include "workloads/programs.h"
 
@@ -124,7 +125,19 @@ inline std::vector<workloads::WorkloadProfile> BenchWorkloads() {
   return all;
 }
 
-/// The standard workload for the *real* (wall-clock) replay engine: dense
+/// The paper-platform replay request for the record run "run": `workers`
+/// partitions (one per modeled GPU), restores priced like the paper's
+/// platform.
+inline ClusterPlanOptions PaperPlan(int workers, InitMode init_mode) {
+  ClusterPlanOptions plan;
+  plan.run_prefix = "run";
+  plan.num_workers = workers;
+  plan.init_mode = init_mode;
+  plan.costs = sim::PaperPlatformCosts();
+  return plan;
+}
+
+/// The standard workload for the wall-clock replay runners: dense
 /// checkpoints so the main loop partitions anywhere, and a per-batch
 /// blocking device cost (WorkloadProfile::wall_batch_seconds) so measured
 /// parallel speedup reflects the paper's GPU-bound overlap rather than how

@@ -10,7 +10,8 @@
 
 #include "common/strings.h"
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
+#include "flor/replay_plan.h"
+#include "sim/cost_model.h"
 #include "workloads/programs.h"
 
 using namespace flor;
@@ -64,11 +65,11 @@ int main() {
   std::printf("== consequence for replay: sparse checkpoints bound "
               "parallelism ==\n");
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "runs/rte";
-  copts.cluster.num_machines = 1;  // 4 GPUs
-  copts.costs = sim::PaperPlatformCosts();
-  auto result = sim::ClusterReplay(factory, &fs_adaptive, copts);
+  ClusterPlanOptions plan;
+  plan.run_prefix = "runs/rte";
+  plan.num_workers = 4;  // one 4-GPU machine
+  plan.costs = sim::PaperPlatformCosts();
+  auto result = RunPartitionedReplay(factory, &fs_adaptive, plan, SimRunner());
   FLOR_CHECK(result.ok()) << result.status().ToString();
   FLOR_CHECK(result->deferred.ok);
   std::printf("  partitions available: %lld (from the sparse checkpoints)\n",

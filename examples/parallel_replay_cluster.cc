@@ -10,7 +10,8 @@
 
 #include "common/strings.h"
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
+#include "flor/replay_plan.h"
+#include "sim/cluster.h"
 #include "workloads/programs.h"
 
 using namespace flor;
@@ -49,21 +50,24 @@ int main() {
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
   const double vanilla = profile.VanillaSeconds();
   for (int machines = 1; machines <= 4; ++machines) {
-    sim::ClusterReplayOptions copts;
-    copts.run_prefix = "runs/rsnt";
-    copts.cluster.num_machines = machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
-    copts.init_mode = InitMode::kWeak;
-    copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(factory, &fs, copts);
+    const sim::Cluster cluster{sim::kP3_8xLarge, machines};
+    ClusterPlanOptions plan;
+    plan.run_prefix = "runs/rsnt";
+    plan.num_workers = cluster.total_gpus();
+    plan.init_mode = InitMode::kWeak;
+    plan.costs = sim::PaperPlatformCosts();
+    auto result = RunPartitionedReplay(factory, &fs, plan, SimRunner());
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok)
         << "replay anomaly: " << result->deferred.anomalies[0];
+    // Billing is a post-pass over the simulated worker times.
+    const double cost = sim::TotalClusterCost(
+        sim::PriceCluster(cluster, result->worker_seconds));
     std::printf("%9d %6d %12s %8.2fx %14zu %12s\n", machines, machines * 4,
                 HumanSeconds(result->latency_seconds).c_str(),
                 vanilla / result->latency_seconds,
                 result->probe_entries.size(),
-                HumanDollars(result->total_cost_dollars).c_str());
+                HumanDollars(cost).c_str());
   }
 
   std::printf("\nEvery row produced the identical merged hindsight log and "

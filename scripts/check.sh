@@ -6,8 +6,15 @@
 #
 #   ./scripts/check.sh                 # full gate
 #   BUILD_DIR=out ./scripts/check.sh   # custom build dir
-#   FLOR_TSAN=1 ./scripts/check.sh     # also run the concurrency suites
+#   FLOR_SANITIZE=thread ./scripts/check.sh
+#                                      # also run the concurrency, fork,
+#                                      # tiered, service and server suites
 #                                      # under ThreadSanitizer
+#   FLOR_SANITIZE=address,undefined ./scripts/check.sh
+#                                      # also run the fuzzed decoders (wire,
+#                                      # result file, manifest, checkpoint
+#                                      # frame) and the fork and server
+#                                      # suites under ASan + UBSan
 #   FLOR_BUILD_TYPE=Debug ./scripts/check.sh
 #                                      # override CMAKE_BUILD_TYPE (CI runs
 #                                      # the Debug + Release matrix this way)
@@ -26,19 +33,27 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-# Main configure args; the tsan tree gets its own array (no -Werror there,
-# matching the pre-existing behavior) so neither depends on the other's
-# element order — and both stay non-empty, which keeps `set -u` happy on
-# bash < 4.4 (macOS ships 3.2).
+SANITIZE="${FLOR_SANITIZE:-}"
+case "${SANITIZE}" in
+  ""|thread|address,undefined) ;;
+  *) echo "error: FLOR_SANITIZE must be 'thread' or 'address,undefined'," \
+          "got '${SANITIZE}'" >&2
+     exit 2 ;;
+esac
+
+# Main configure args; the sanitizer tree gets its own array (no -Werror
+# there, matching the pre-existing behavior) so neither depends on the
+# other's element order — and both stay non-empty, which keeps `set -u`
+# happy on bash < 4.4 (macOS ships 3.2).
 CMAKE_ARGS=(-DFLOR_WERROR=ON)
-TSAN_ARGS=(-DFLOR_TSAN=ON)
+SAN_ARGS=(-DFLOR_SANITIZE="${SANITIZE}")
 if [[ -n "${FLOR_BUILD_TYPE:-}" ]]; then
   CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE}")
-  TSAN_ARGS+=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE}")
+  SAN_ARGS+=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE}")
 fi
 if [[ "${FLOR_CCACHE:-0}" != "0" ]] && command -v ccache >/dev/null 2>&1; then
   CMAKE_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
-  TSAN_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
+  SAN_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
 
 echo "== test-seed audit =="
@@ -108,25 +123,42 @@ if [[ -n "${BENCH_BASELINE:-}" ]]; then
   done
 fi
 
-if [[ "${FLOR_TSAN:-0}" != "0" ]]; then
+if [[ "${SANITIZE}" == "thread" ]]; then
   echo "== ThreadSanitizer: concurrency + fork suites (${BUILD_DIR}-tsan) =="
-  cmake -B "${BUILD_DIR}-tsan" -S . "${TSAN_ARGS[@]}"
+  cmake -B "${BUILD_DIR}-tsan" -S . "${SAN_ARGS[@]}"
   cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" \
         --target replay_executor_test spool_test bloom_test \
                  process_executor_test crash_consistency_test \
                  tiered_store_test service_test server_test
-  # `tsan` labels the suites exercising real threads (thread-pool replay
-  # engine, spool/shard batching); `proc` labels the fork-heavy suites
-  # (process replay engine, SIGKILL crash harness); `tiered` labels the
-  # tiered-store suite racing bucket fault-in against local GC demotion;
-  # `service` labels the Connection/Session suite racing concurrent tenant
-  # sessions against the connection's background GC worker; `server` labels
-  # the wire-server suite racing socket clients, fuzzed frames, and drain
-  # against the accept/handler threads. All run
-  # instrumented: every fork happens from a single-threaded coordinator
-  # and the children stay single-threaded, which ThreadSanitizer supports.
+  # `tsan` labels the suites exercising real threads (thread runner,
+  # spool/shard batching); `proc` labels the fork-heavy suites (fork
+  # runner, SIGKILL crash harness); `tiered` labels the tiered-store suite
+  # racing bucket fault-in against local GC demotion; `service` labels the
+  # Connection/Session suite racing concurrent tenant sessions against the
+  # connection's background GC worker; `server` labels the wire-server
+  # suite racing socket clients, fuzzed frames, and drain against the
+  # accept/handler threads. All run instrumented: every fork happens from
+  # a single-threaded coordinator and the children stay single-threaded,
+  # which ThreadSanitizer supports.
   ctest --test-dir "${BUILD_DIR}-tsan" --output-on-failure \
         --no-tests=error -j "${JOBS}" -L 'tsan|proc|tiered|service|server'
+fi
+
+if [[ "${SANITIZE}" == "address,undefined" ]]; then
+  echo "== ASan + UBSan: fuzzed decoders + fork/server suites (${BUILD_DIR}-asan) =="
+  cmake -B "${BUILD_DIR}-asan" -S . "${SAN_ARGS[@]}"
+  cmake --build "${BUILD_DIR}-asan" -j "${JOBS}" \
+        --target server_test env_test checkpoint_test serialize_test \
+                 process_executor_test crash_consistency_test
+  # The truncation/mutation fuzz suites of every decoder that reads
+  # untrusted bytes — wire messages, worker result files, manifests,
+  # checkpoint and CRC frames — plus the fork-runner (`proc`) and
+  # wire-server (`server`) suites that feed those decoders real torn input.
+  ctest --test-dir "${BUILD_DIR}-asan" --output-on-failure \
+        --no-tests=error -j "${JOBS}" \
+        -R '^(WireTest|ResultFile|Manifest|Checkpoint|Frame|Coding)\.'
+  ctest --test-dir "${BUILD_DIR}-asan" --output-on-failure \
+        --no-tests=error -j "${JOBS}" -L 'proc|server'
 fi
 
 echo "== OK =="

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <mutex>
 #include <shared_mutex>
+#include <utility>
 
 #include "common/strings.h"
 
@@ -259,14 +260,27 @@ Status PosixFileSystem::DeleteFile(const std::string& path) {
 
 std::vector<std::string> PosixFileSystem::ListPrefix(
     const std::string& prefix) const {
+  // Other threads and processes delete run directories while we walk (GC,
+  // tenant deletes), so every filesystem call takes an error_code: a
+  // directory that vanishes ends only its own subtree, never the walk, and
+  // never throws.
   std::vector<std::string> out;
-  std::error_code ec;
-  for (auto it = stdfs::recursive_directory_iterator(root_, ec);
-       it != stdfs::recursive_directory_iterator(); ++it) {
-    if (!it->is_regular_file()) continue;
-    std::string rel =
-        stdfs::relative(it->path(), root_, ec).generic_string();
-    if (StartsWith(rel, prefix)) out.push_back(rel);
+  std::vector<std::pair<stdfs::path, std::string>> dirs = {{root_, ""}};
+  while (!dirs.empty()) {
+    const auto [dir, dir_rel] = std::move(dirs.back());
+    dirs.pop_back();
+    std::error_code ec;
+    for (stdfs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+      const std::string name = it->path().filename().generic_string();
+      std::string rel = dir_rel.empty() ? name : StrCat(dir_rel, "/", name);
+      std::error_code entry_ec;
+      if (stdfs::is_directory(it->symlink_status(entry_ec))) {
+        dirs.emplace_back(it->path(), std::move(rel));
+      } else if (it->is_regular_file(entry_ec) && StartsWith(rel, prefix)) {
+        out.push_back(std::move(rel));
+      }
+    }
   }
   std::sort(out.begin(), out.end());
   return out;

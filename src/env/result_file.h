@@ -1,7 +1,7 @@
 // Sectioned result files — how a replay worker process reports back.
 //
-// The process-level replay executor (exec/process_executor.h) forks one
-// worker per log partition; each worker hands its merged-log fragment and
+// The fork-pool replay runner (exec/fork_runner.h) forks one worker per
+// log partition; each worker hands its merged-log fragment and
 // stats to the parent through a file in a posix scratch directory. That
 // file must be tamper-evident: a worker SIGKILLed mid-write, a truncated
 // disk, or a flipped byte must surface as Corruption on read — never as a

@@ -1,8 +1,7 @@
-#include "exec/process_executor.h"
+#include "exec/fork_runner.h"
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <map>
@@ -33,12 +32,6 @@ namespace {
 constexpr int kChildReplayFailed = 12;  // error file has the Status
 constexpr int kChildWriteFailed = 13;   // could not commit result/error
 
-double WallNowSeconds() {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Error-file payload: the failed Status as (code, message) sections, CRC
 /// framed like everything else in the scratch directory.
 std::string EncodeWorkerError(const Status& status) {
@@ -60,18 +53,12 @@ Status DecodeWorkerError(const std::string& data) {
 
 }  // namespace
 
-ProcessReplayExecutor::ProcessReplayExecutor(
-    FileSystem* shared_fs, ProcessReplayExecutorOptions options)
-    : fs_(shared_fs), options_(std::move(options)) {}
-
-std::string ProcessReplayExecutor::ResultFileName(int worker_id,
-                                                  int attempt) {
+std::string ForkRunner::ResultFileName(int worker_id, int attempt) {
   if (attempt <= 1) return StrCat("worker-", worker_id, ".res");
   return StrCat("worker-", worker_id, ".attempt-", attempt, ".res");
 }
 
-std::string ProcessReplayExecutor::ErrorFileName(int worker_id,
-                                                 int attempt) {
+std::string ForkRunner::ErrorFileName(int worker_id, int attempt) {
   if (attempt <= 1) return StrCat("worker-", worker_id, ".err");
   return StrCat("worker-", worker_id, ".attempt-", attempt, ".err");
 }
@@ -92,57 +79,36 @@ pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
 /// Child-side worker body. Never returns into the parent's code: commits
 /// a result (or error) file and _exit()s, skipping atexit handlers and
 /// the parent's buffered state.
-[[noreturn]] void RunChild(int worker_id, int attempt, FileSystem* shared_fs,
-                           const ProgramFactory& factory,
-                           const ClusterPlanOptions& plan,
-                           const ProcessReplayExecutorOptions& options,
+[[noreturn]] void RunChild(int worker_id, int attempt,
+                           const PartitionWork& work,
+                           const ForkRunnerOptions& options,
                            const std::string& scratch_path) {
   PosixFileSystem scratch_fs(scratch_path);
   if (options.child_before_session)
     options.child_before_session(worker_id, attempt);
 
-  auto run_worker = [&]() -> Result<ReplayResult> {
-    Env env(std::make_unique<WallClock>(), shared_fs);
-    FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
-    ReplaySession session(&env, WorkerReplayOptions(plan, worker_id));
-    exec::Frame frame;
-    return session.Run(instance.program.get(), &frame);
-  };
-  Result<ReplayResult> result = run_worker();
+  Result<ReplayResult> result =
+      work(worker_id, std::make_unique<WallClock>());
 
   if (options.child_before_result_write)
     options.child_before_result_write(worker_id, attempt);
 
   if (result.ok()) {
     const Status wrote = scratch_fs.WriteFile(
-        ProcessReplayExecutor::ResultFileName(worker_id, attempt),
+        ForkRunner::ResultFileName(worker_id, attempt),
         EncodeWorkerResult(*result));
     _exit(wrote.ok() ? 0 : kChildWriteFailed);
   }
   const Status wrote = scratch_fs.WriteFile(
-      ProcessReplayExecutor::ErrorFileName(worker_id, attempt),
+      ForkRunner::ErrorFileName(worker_id, attempt),
       EncodeWorkerError(result.status()));
   _exit(wrote.ok() ? kChildReplayFailed : kChildWriteFailed);
 }
 
 }  // namespace
 
-Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
-    const ProgramFactory& factory) {
-  const double wall_start = WallNowSeconds();
-
-  ClusterPlanOptions plan;
-  plan.run_prefix = options_.run_prefix;
-  plan.num_workers = options_.num_partitions > 0 ? options_.num_partitions
-                                                 : 1;
-  plan.init_mode = options_.init_mode;
-  plan.costs = options_.costs;
-  plan.sample_epochs = options_.sample_epochs;
-  static_cast<TierOptions&>(plan) = options_;  // bucket + bloom, one slice
-
-  FLOR_ASSIGN_OR_RETURN(const int active,
-                        PlanActiveWorkers(factory, fs_, plan));
-
+Result<PartitionOutcomes> ForkRunner::Run(int active,
+                                          const PartitionWork& work) const {
   const int max_attempts = std::max(1, options_.max_attempts);
   int pool = options_.max_concurrent_children;
   if (pool <= 0) {
@@ -177,22 +143,21 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
   std::deque<int> ready;  // partitions awaiting a pool slot
   for (int w = 0; w < active; ++w) ready.push_back(w);
 
-  std::vector<int> forks_per_partition(static_cast<size_t>(active), 0);
-  std::vector<int> committed_attempt(static_cast<size_t>(active), 0);
-  std::vector<Status> partition_error(static_cast<size_t>(active),
-                                      Status::OK());
+  PartitionOutcomes out;
+  out.results.assign(static_cast<size_t>(active),
+                     Status::Internal("partition never ran"));
+  RunnerStats& stats = out.stats;
+  stats.pool_size = pool;
+  stats.partition_attempts.assign(static_cast<size_t>(active), 0);
+  std::vector<int>& forks_per_partition = stats.partition_attempts;
+  std::vector<bool> committed(static_cast<size_t>(active), false);
   std::vector<bool> partition_failed(static_cast<size_t>(active), false);
   std::vector<bool> death_retried(static_cast<size_t>(active), false);
   std::vector<bool> speculated(static_cast<size_t>(active), false);
   int completed = 0;  // partitions committed or failed for good
-  int total_forks = 0;
-  int speculative_forks = 0;
-  int speculative_wins = 0;
-  int max_children = 0;
-  ReplayMerger merger;
 
   const auto terminal = [&](int w) {
-    return committed_attempt[static_cast<size_t>(w)] > 0 ||
+    return committed[static_cast<size_t>(w)] ||
            partition_failed[static_cast<size_t>(w)];
   };
   const auto live_attempts_of = [&](int w) {
@@ -230,17 +195,17 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     if (pid < 0)
       return Status::IOError(
           StrCat("fork failed for replay partition ", w));
-    if (pid == 0)
-      RunChild(w, attempt, fs_, factory, plan, options_, scratch_path);
+    if (pid == 0) RunChild(w, attempt, work, options_, scratch_path);
     running.emplace(pid, LiveAttempt{w, attempt, speculative});
-    ++total_forks;
-    if (speculative) ++speculative_forks;
-    max_children = std::max(max_children, static_cast<int>(running.size()));
+    ++stats.total_forks;
+    if (speculative) ++stats.speculative_forks;
+    stats.max_observed_children = std::max(
+        stats.max_observed_children, static_cast<int>(running.size()));
     return Status::OK();
   };
   const auto record_failure = [&](int w, Status status) {
     partition_failed[static_cast<size_t>(w)] = true;
-    partition_error[static_cast<size_t>(w)] = std::move(status);
+    out.results[static_cast<size_t>(w)] = std::move(status);
     ++completed;
     kill_other_attempts(w, /*except=*/-1);
   };
@@ -311,10 +276,10 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
                                      decoded.status().message()));
         continue;
       }
-      committed_attempt[static_cast<size_t>(w)] = la.attempt;
+      committed[static_cast<size_t>(w)] = true;
       ++completed;
-      if (la.speculative) ++speculative_wins;
-      merger.Add(w, std::move(*decoded));
+      if (la.speculative) ++stats.speculative_wins;
+      out.results[static_cast<size_t>(w)] = std::move(decoded);
       kill_other_attempts(w, pid);  // reaped (and ignored) by this loop
       continue;
     }
@@ -370,49 +335,23 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
   kill_and_reap_all();
   if (!scheduler_error.ok()) return scheduler_error;
 
-  bool any_failed = false;
-  for (int w = 0; w < active; ++w)
-    any_failed = any_failed || partition_failed[static_cast<size_t>(w)];
-  if (any_failed) {
+  for (const bool retried : death_retried)
+    stats.retried_partitions += retried ? 1 : 0;
+  if (std::find(partition_failed.begin(), partition_failed.end(), true) !=
+      partition_failed.end()) {
     // Keep the fragments inspectable: an auto-created scratch dir is
     // preserved (and named) instead of being removed on this return.
     if (owned_scratch) owned_scratch->set_keep(true);
-    std::vector<std::string> failures;
-    Status first_failure = Status::OK();
-    for (int w = 0; w < active; ++w) {
-      if (!partition_failed[static_cast<size_t>(w)]) continue;
-      const Status& status = partition_error[static_cast<size_t>(w)];
-      failures.push_back(StrCat("partition ", w, "/", active, ": ",
-                                status.message()));
-      if (first_failure.ok()) first_failure = status;
-    }
-    return Status(first_failure.code(),
-                  StrCat("process replay: ", StrJoin(failures, "; "),
-                         " [surviving fragments in ", scratch_path, "]"));
+    out.failure_note = StrCat(" [surviving fragments in ", scratch_path, "]");
   }
-
-  ProcessReplayExecutorResult result;
-  FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(result),
-                        merger.Finish(fs_, options_.run_prefix));
-  result.processes_used = active;
-  result.pool_size = pool;
-  result.total_forks = total_forks;
-  result.max_observed_children = max_children;
-  for (const bool retried : death_retried)
-    result.retried_partitions += retried ? 1 : 0;
-  result.speculative_forks = speculative_forks;
-  result.speculative_wins = speculative_wins;
-  result.partition_attempts = std::move(forks_per_partition);
-  result.wall_seconds = WallNowSeconds() - wall_start;
-  return result;
+  return out;
 }
 
 #else  // !(__unix__ || __APPLE__)
 
-Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
-    const ProgramFactory&) {
+Result<PartitionOutcomes> ForkRunner::Run(int, const PartitionWork&) const {
   return Status::NotSupported(
-      "ProcessReplayExecutor requires fork(); use exec::ReplayExecutor");
+      "ForkRunner requires fork(); use exec::ThreadRunner");
 }
 
 #endif

@@ -40,7 +40,7 @@ struct LogEntry {
 ///
 /// Thread-compatible, const-safe: concurrent const access (entries(),
 /// WorkEntries(), Serialize()) from multiple threads is safe as long as no
-/// thread mutates. The parallel replay engines rely on this — each worker
+/// thread mutates. The partition runners rely on this — each worker
 /// appends only to its own stream, and merging happens on the coordinating
 /// thread after workers join (flor/replay_plan.h).
 class LogStream {

@@ -32,25 +32,34 @@
 
 namespace flor {
 
-/// Replay configuration. Inherits the shared read-tier fields
+/// A replay request: the record run to replay and how to partition it,
+/// whichever runner executes the partitions (RunPartitionedReplay,
+/// flor/replay_plan.h). Inherits the shared read-tier fields
 /// (bucket_prefix / bucket_rehydrate / bloom_filter / bloom_target_fpr)
-/// from TierOptions (checkpoint/store.h) — the same aggregate every engine
-/// option struct and the service ConnectionOptions carry, so tier
-/// configuration is declared once and flows everywhere by slice
-/// assignment.
-struct ReplayOptions : TierOptions {
+/// from TierOptions (checkpoint/store.h) — the same aggregate the service
+/// ConnectionOptions carries, so tier configuration is declared once and
+/// flows everywhere by slice assignment.
+struct ClusterPlanOptions : TierOptions {
   std::string run_prefix = "run";
+  /// Log partitions (the paper's G). The effective worker count can be
+  /// lower when the main loop is short or checkpoints are sparse.
+  int num_workers = 1;
   /// Requested worker-initialization mode; falls back to weak when the
   /// record run checkpointed sparsely (§5.4.2).
   InitMode init_mode = InitMode::kStrong;
+  /// Cost model for restore pricing (only charged under simulated clocks;
+  /// wall-clock restores are simply measured).
+  MaterializerCosts costs;
+  /// Non-empty selects iteration-sampling replay over these main-loop
+  /// epochs, on a single worker, instead of contiguous partitions.
+  std::vector<int64_t> sample_epochs;
+};
+
+/// One worker's slice of a replay request: the request plus this worker's
+/// identity within it.
+struct ReplayOptions : ClusterPlanOptions {
   /// This worker's identity within a parallel replay (PID in Fig. 8).
   int worker_id = 0;
-  int num_workers = 1;
-  /// Non-empty selects iteration-sampling replay over these main-loop
-  /// epochs instead of a contiguous partition.
-  std::vector<int64_t> sample_epochs;
-  /// Cost model for restore pricing under a simulated clock.
-  MaterializerCosts costs;
   /// Skip the deferred log check (used when a caller merges worker logs and
   /// checks once).
   bool run_deferred_check = true;

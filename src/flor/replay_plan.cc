@@ -1,6 +1,7 @@
 #include "flor/replay_plan.h"
 
 #include <algorithm>
+#include <chrono>
 #include <iterator>
 #include <map>
 #include <set>
@@ -108,18 +109,14 @@ Result<std::vector<int64_t>> PlannedRestoreEpochs(
 
 ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
                                   int worker_id) {
+  // The request (tier configuration included) travels as one slice, so a
+  // field added to ClusterPlanOptions or TierOptions flows to workers
+  // without touching this function.
   ReplayOptions ropts;
-  ropts.run_prefix = options.run_prefix;
-  ropts.init_mode = options.init_mode;
+  static_cast<ClusterPlanOptions&>(ropts) = options;
   ropts.worker_id = worker_id;
-  ropts.num_workers = options.sample_epochs.empty() ? options.num_workers : 1;
-  ropts.sample_epochs = options.sample_epochs;
-  ropts.costs = options.costs;
-  ropts.run_deferred_check = false;  // merged check in ReplayMerger
-  // Tier configuration (bucket + bloom) travels as one slice: both structs
-  // inherit TierOptions, so a field added there flows to workers without
-  // touching this function.
-  static_cast<TierOptions&>(ropts) = options;
+  if (!options.sample_epochs.empty()) ropts.num_workers = 1;
+  ropts.run_deferred_check = false;  // merged check after the merge
   return ropts;
 }
 
@@ -276,26 +273,32 @@ Result<ReplayResult> DecodeWorkerResult(const std::string& data) {
   return out;
 }
 
-void ReplayMerger::Add(int worker_id, ReplayResult result) {
-  workers_.emplace_back(worker_id, std::move(result));
+Result<PartitionOutcomes> SimRunner::Run(int partitions,
+                                         const PartitionWork& work) const {
+  PartitionOutcomes out;
+  out.results.reserve(static_cast<size_t>(partitions));
+  for (int w = 0; w < partitions; ++w)
+    out.results.push_back(work(w, std::make_unique<SimClock>()));
+  return out;
 }
 
-Result<MergedClusterReplay> ReplayMerger::Finish(
-    const FileSystem* fs, const std::string& run_prefix) {
-  if (workers_.empty())
-    return Status::InvalidArgument("ReplayMerger: no worker results");
-  std::sort(workers_.begin(), workers_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+namespace {
 
+/// Concatenates worker fragments (indexed by worker id) and deferred-checks
+/// the merged stream against the record logs under `run_prefix`.
+Result<MergedClusterReplay> MergePartitions(
+    std::vector<ReplayResult> workers, const FileSystem* fs,
+    const std::string& run_prefix) {
+  if (workers.empty())
+    return Status::InvalidArgument("replay: no partitions to merge");
   MergedClusterReplay out;
-  const ReplayResult& first = workers_.front().second;
+  const ReplayResult& first = workers.front();
   out.workers_used = std::max(1, first.active_workers);
   out.partition_segments = first.partition_segments;
   out.effective_init = first.effective_init;
   const std::set<int32_t>& probe_uids = first.probes.probe_stmt_uids;
 
-  for (const auto& [id, wres] : workers_) {
-    (void)id;
+  for (const ReplayResult& wres : workers) {
     out.worker_seconds.push_back(wres.runtime_seconds);
     out.merged_logs.ExtendWork(wres.logs);
     out.probe_entries.insert(out.probe_entries.end(),
@@ -318,6 +321,64 @@ Result<MergedClusterReplay> ReplayMerger::Finish(
   out.deferred = DeferredCheck(record_logs.entries(),
                                out.merged_logs.entries(), probe_uids);
   return out;
+}
+
+}  // namespace
+
+Result<PartitionedReplayResult> RunPartitionedReplay(
+    const ProgramFactory& factory, FileSystem* fs,
+    const ClusterPlanOptions& options, const PartitionRunner& runner) {
+  const auto start = std::chrono::steady_clock::now();
+  FLOR_ASSIGN_OR_RETURN(const int active,
+                        PlanActiveWorkers(factory, fs, options));
+
+  // Every worker owns its clock, program instance and log stream; the only
+  // shared object is the (read-only during replay) record run on `fs`.
+  const PartitionWork work =
+      [&](int w, std::unique_ptr<Clock> clock) -> Result<ReplayResult> {
+    Env env(std::move(clock), fs);
+    FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
+    ReplaySession session(&env, WorkerReplayOptions(options, w));
+    exec::Frame frame;
+    return session.Run(instance.program.get(), &frame);
+  };
+  FLOR_ASSIGN_OR_RETURN(PartitionOutcomes outcomes,
+                        runner.Run(active, work));
+  if (outcomes.results.size() != static_cast<size_t>(active)) {
+    return Status::Internal(StrCat("replay runner returned ",
+                                   outcomes.results.size(),
+                                   " results for ", active, " partitions"));
+  }
+
+  std::vector<ReplayResult> workers;
+  workers.reserve(static_cast<size_t>(active));
+  std::vector<std::string> failures;
+  Status first_failure = Status::OK();
+  for (int w = 0; w < active; ++w) {
+    Result<ReplayResult>& slot = outcomes.results[static_cast<size_t>(w)];
+    if (slot.ok()) {
+      workers.push_back(std::move(slot).value());
+      continue;
+    }
+    failures.push_back(
+        StrCat("partition ", w, "/", active, ": ", slot.status().message()));
+    if (first_failure.ok()) first_failure = slot.status();
+  }
+  if (!failures.empty()) {
+    return Status(first_failure.code(),
+                  StrCat("replay: ", StrJoin(failures, "; "),
+                         outcomes.failure_note));
+  }
+
+  PartitionedReplayResult result;
+  FLOR_ASSIGN_OR_RETURN(
+      static_cast<MergedClusterReplay&>(result),
+      MergePartitions(std::move(workers), fs, options.run_prefix));
+  result.runner = std::move(outcomes.stats);
+  result.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  return result;
 }
 
 }  // namespace flor

@@ -212,12 +212,14 @@ void Server::Stop() {
     if (!options_.unix_path.empty())
       ::unlink(options_.unix_path.c_str());
   }
-  std::vector<std::thread> handlers;
+  std::map<uint64_t, std::thread> handlers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     handlers.swap(handlers_);
+    finished_handlers_.clear();
   }
-  for (std::thread& t : handlers) {
+  for (auto& [id, t] : handlers) {
+    (void)id;
     if (t.joinable()) t.join();
   }
 }
@@ -234,18 +236,32 @@ void Server::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listener shut down (or hard error): stop accepting
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
+    std::vector<std::thread> exited;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stopping_) {
+        ::close(fd);
+        return;
+      }
+      ++stats_.connections_accepted;
+      client_fds_.push_back(fd);
+      for (uint64_t id : finished_handlers_) {
+        auto it = handlers_.find(id);
+        exited.push_back(std::move(it->second));
+        handlers_.erase(it);
+      }
+      finished_handlers_.clear();
+      const uint64_t id = next_handler_id_++;
+      handlers_.emplace(
+          id, std::thread([this, fd, id] { HandleClient(fd, id); }));
     }
-    ++stats_.connections_accepted;
-    client_fds_.push_back(fd);
-    handlers_.emplace_back([this, fd] { HandleClient(fd); });
+    // These handlers queued their ids as their last step, so each join
+    // returns at once.
+    for (std::thread& t : exited) t.join();
   }
 }
 
-void Server::HandleClient(int fd) {
+void Server::HandleClient(int fd, uint64_t handler_id) {
   for (;;) {
     bool clean_eof = false;
     auto message = ReadMessage(fd, options_.max_message_bytes, &clean_eof);
@@ -288,6 +304,7 @@ void Server::HandleClient(int fd) {
       std::remove(client_fds_.begin(), client_fds_.end(), fd),
       client_fds_.end());
   ::close(fd);
+  finished_handlers_.push_back(handler_id);
 }
 
 wire::Response Server::Dispatch(const wire::Request& req) {

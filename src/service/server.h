@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -106,7 +107,7 @@ class Server {
 
   Status Listen();
   void AcceptLoop();
-  void HandleClient(int fd);
+  void HandleClient(int fd, uint64_t handler_id);
   wire::Response Dispatch(const wire::Request& req);
 
   Connection* conn_;
@@ -118,7 +119,13 @@ class Server {
   mutable std::mutex mu_;
   bool stopping_ = false;
   std::vector<int> client_fds_;
-  std::vector<std::thread> handlers_;
+  /// Handler threads by id. A handler that exits queues its id on
+  /// finished_handlers_; the accept path joins those before spawning the
+  /// next one, so finished connections never pin their stacks. Stop()
+  /// joins whatever is left.
+  std::map<uint64_t, std::thread> handlers_;
+  std::vector<uint64_t> finished_handlers_;
+  uint64_t next_handler_id_ = 0;
   ServerStats stats_;
 };
 

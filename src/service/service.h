@@ -2,8 +2,8 @@
 // front-end (WiredTiger's connection/session split, applied to Flor).
 //
 // Everything below this layer is one-shot: a RecordSession records and
-// exits, a replay engine replays and exits, each opening its own
-// CheckpointStore and SpoolQueue. A long-running service inverts that
+// exits, a partitioned replay (RunPartitionedReplay) replays and exits,
+// each opening its own CheckpointStore and SpoolQueue. A long-running service inverts that
 // ownership:
 //
 //   * flor::Connection — opened once per process. Owns the shared
@@ -24,9 +24,8 @@
 //
 // Thread-safety follows WiredTiger: a Connection is fully thread-safe
 // and meant to be shared; a Session is a cheap single-threaded handle —
-// open one per thread. The pre-existing one-shot entry points
-// (RecordSession, sim::ClusterReplay, exec::ReplayExecutor,
-// exec::ProcessReplayExecutor) remain as the compat surface and share
+// open one per thread. The one-shot entry points (RecordSession,
+// RunPartitionedReplay) remain as the compat surface and share
 // this layer's internals (CheckpointStore::Open, TierOptions,
 // RecordOptions::shared_spool), so both paths stay byte-identical.
 
@@ -57,9 +56,9 @@ namespace flor {
 
 class Session;
 
-/// Which engine executes a Session::Replay. All three consume the shared
-/// plan (flor/replay_plan.h) and produce byte-identical merged logs; they
-/// differ in clocks and isolation.
+/// Which runner executes a Session::Replay. All three go through the one
+/// entry point (RunPartitionedReplay, flor/replay_plan.h) and produce
+/// byte-identical merged logs; they differ in clocks and isolation.
 enum class ReplayEngine {
   kSimulated,  ///< sequential workers on simulated clocks (latency model)
   kThreads,    ///< work-stealing thread pool, wall clock

@@ -3,10 +3,10 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "exec/process_executor.h"
-#include "exec/replay_executor.h"
+#include "exec/fork_runner.h"
+#include "exec/thread_runner.h"
 #include "flor/skipblock.h"
-#include "sim/parallel_replay.h"
+#include "sim/cluster.h"
 
 namespace flor {
 
@@ -14,8 +14,8 @@ namespace {
 
 /// A record/replay run on a connection whose env clock is simulated gets
 /// its own fresh SimClock — every run starts at t=0 regardless of what
-/// other sessions did, which is exactly the per-worker-env discipline
-/// sim::ClusterReplay uses, and what keeps service-path results
+/// other sessions did, which is exactly the per-worker-clock discipline
+/// SimRunner uses, and what keeps service-path results
 /// byte-identical to the one-shot entry points. Wall-clock connections
 /// keep the shared clock (wall clocks are stateless).
 struct RunEnv {
@@ -100,12 +100,23 @@ Result<SessionReplayResult> Session::Replay(
   }
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
-  const TierOptions& tier = conn_->options().tier;
 
-  SessionReplayResult out;
-  out.engine = options.engine;
+  ClusterPlanOptions plan;
+  static_cast<TierOptions&>(plan) = conn_->options().tier;
+  plan.run_prefix = prefix;
+  plan.num_workers = options.workers;
+  plan.init_mode = options.init_mode;
+  plan.costs = options.costs;
+  plan.sample_epochs = options.sample_epochs;
+
+  SimRunner sim_runner;
+  const exec::ThreadRunner thread_runner(options.num_threads);
+  exec::ForkRunnerOptions fork_options;
+  fork_options.scratch_dir = options.scratch_dir;
+  const exec::ForkRunner fork_runner(std::move(fork_options));
+  const PartitionRunner* runner = &sim_runner;
   switch (options.engine) {
-    case ReplayEngine::kSimulated: {
+    case ReplayEngine::kSimulated:
       if (options.instance.gpus < 1 ||
           options.workers % options.instance.gpus != 0) {
         return Status::InvalidArgument(
@@ -113,56 +124,31 @@ Result<SessionReplayResult> Session::Replay(
                    ") must be a positive multiple of instance gpus (",
                    options.instance.gpus, ")"));
       }
-      sim::ClusterReplayOptions eopts;
-      static_cast<TierOptions&>(eopts) = tier;
-      eopts.run_prefix = prefix;
-      eopts.cluster.instance = options.instance;
-      eopts.cluster.num_machines = options.workers / options.instance.gpus;
-      eopts.init_mode = options.init_mode;
-      eopts.costs = options.costs;
-      eopts.sample_epochs = options.sample_epochs;
-      FLOR_ASSIGN_OR_RETURN(
-          sim::ClusterReplayResult r,
-          sim::ClusterReplay(factory, conn_->env()->fs(), eopts));
-      out.total_cost_dollars = r.total_cost_dollars;
-      static_cast<MergedClusterReplay&>(out) = std::move(r);
       break;
-    }
-    case ReplayEngine::kThreads: {
-      exec::ReplayExecutorOptions eopts;
-      static_cast<TierOptions&>(eopts) = tier;
-      eopts.run_prefix = prefix;
-      eopts.num_partitions = options.workers;
-      eopts.num_threads =
-          options.num_threads > 0 ? options.num_threads : options.workers;
-      eopts.init_mode = options.init_mode;
-      eopts.costs = options.costs;
-      eopts.sample_epochs = options.sample_epochs;
-      exec::ReplayExecutor executor(conn_->env()->fs(), std::move(eopts));
-      FLOR_ASSIGN_OR_RETURN(exec::ReplayExecutorResult r,
-                            executor.Run(factory));
-      out.wall_seconds = r.wall_seconds;
-      static_cast<MergedClusterReplay&>(out) = std::move(r);
+    case ReplayEngine::kThreads:
+      runner = &thread_runner;
       break;
-    }
-    case ReplayEngine::kProcesses: {
-      exec::ProcessReplayExecutorOptions eopts;
-      static_cast<TierOptions&>(eopts) = tier;
-      eopts.run_prefix = prefix;
-      eopts.num_partitions = options.workers;
-      eopts.init_mode = options.init_mode;
-      eopts.costs = options.costs;
-      eopts.sample_epochs = options.sample_epochs;
-      eopts.scratch_dir = options.scratch_dir;
-      exec::ProcessReplayExecutor executor(conn_->env()->fs(),
-                                           std::move(eopts));
-      FLOR_ASSIGN_OR_RETURN(exec::ProcessReplayExecutorResult r,
-                            executor.Run(factory));
-      out.wall_seconds = r.wall_seconds;
-      static_cast<MergedClusterReplay&>(out) = std::move(r);
+    case ReplayEngine::kProcesses:
+      runner = &fork_runner;
       break;
-    }
   }
+  FLOR_ASSIGN_OR_RETURN(
+      PartitionedReplayResult replayed,
+      RunPartitionedReplay(factory, conn_->env()->fs(), plan, *runner));
+
+  SessionReplayResult out;
+  out.engine = options.engine;
+  if (options.engine == ReplayEngine::kSimulated) {
+    // Latency is modeled, so bill the modeled cluster instead of reporting
+    // the host time the model took.
+    const sim::Cluster cluster{options.instance,
+                               options.workers / options.instance.gpus};
+    out.total_cost_dollars = sim::TotalClusterCost(
+        sim::PriceCluster(cluster, replayed.worker_seconds));
+  } else {
+    out.wall_seconds = replayed.wall_seconds;
+  }
+  static_cast<MergedClusterReplay&>(out) = std::move(replayed);
   conn_->BumpReplay(tenant_, out.bucket_faults, out.bloom_skipped_probes);
   return out;
 }

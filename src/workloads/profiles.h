@@ -39,7 +39,7 @@ struct WorkloadProfile {
 
   /// Real wall-clock cost per training batch (seconds): blocking device
   /// time charged as a bounded wait when replaying on a wall clock (the
-  /// exec::ReplayExecutor benches). 0 = pure host compute.
+  /// thread- and fork-runner benches). 0 = pure host compute.
   double wall_batch_seconds = 0;
 
   /// Checkpoint-store shard count for record runs of this workload

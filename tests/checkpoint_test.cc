@@ -478,13 +478,14 @@ TEST(Spool, CopiesAndPrices) {
   MemFileSystem fs;
   ASSERT_TRUE(fs.WriteFile("run/ckpt/a", std::string(1024, 'x')).ok());
   ASSERT_TRUE(fs.WriteFile("run/ckpt/b", std::string(2048, 'y')).ok());
-  auto report = SpoolToS3(&fs, "run/ckpt/", "s3/ckpt/");
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->objects, 2);
-  EXPECT_EQ(report->bytes, 3072u);
+  CheckpointStore store(&fs, "run/ckpt");
+  SpoolReport report = SpoolStore(store, "s3/ckpt/");
+  ASSERT_TRUE(report.ok()) << report.first_error;
+  EXPECT_EQ(report.objects, 2);
+  EXPECT_EQ(report.bytes, 3072u);
   EXPECT_TRUE(fs.Exists("s3/ckpt/a"));
   EXPECT_TRUE(fs.Exists("s3/ckpt/b"));
-  EXPECT_DOUBLE_EQ(report->monthly_cost_dollars, S3MonthlyCost(3072));
+  EXPECT_DOUBLE_EQ(report.monthly_cost_dollars, S3MonthlyCost(3072));
 }
 
 TEST(Spool, S3PricingMatchesPaperBallpark) {

@@ -28,10 +28,9 @@
 #include "common/strings.h"
 #include "env/filesystem.h"
 #include "env/result_file.h"
-#include "exec/process_executor.h"
-#include "exec/replay_executor.h"
+#include "exec/fork_runner.h"
+#include "exec/thread_runner.h"
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -358,23 +357,16 @@ TEST_F(CrashConsistencyTest, KilledMidGcLeavesReplayableStore) {
   EXPECT_LT(objects_after, objects_before);           // some deletes landed
   EXPECT_GT(objects_after, manifest->records.size());  // orphans remain
 
-  // (c) Both engines replay the crashed-GC store green, byte-identically.
+  // (c) Both runners replay the crashed-GC store green, byte-identically.
   auto factory =
       workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts);
+  auto sim_result =
+      RunPartitionedReplay(factory, &fs, testutil::WeakPlan(4), SimRunner());
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
 
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = 2;
-  xopts.num_partitions = 2;
-  xopts.init_mode = InitMode::kWeak;
-  auto real_result = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  auto real_result = RunPartitionedReplay(
+      factory, &fs, testutil::WeakPlan(2), exec::ThreadRunner(2));
   ASSERT_TRUE(real_result.ok()) << real_result.status().ToString();
   EXPECT_TRUE(real_result->deferred.ok);
   EXPECT_EQ(real_result->merged_logs.Serialize(),
@@ -466,12 +458,9 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
   // (c) The crashed-GC run replays green with the bucket attached.
   auto factory =
       workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  copts.bucket_prefix = "s3";
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts);
+  ClusterPlanOptions plan = testutil::WeakPlan(4);
+  plan.bucket_prefix = "s3";
+  auto sim_result = RunPartitionedReplay(factory, &fs, plan, SimRunner());
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
 
@@ -664,7 +653,7 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
   // file's *final* path, the worst-case torn state — must surface as a
   // partition-level error naming exactly that partition; the torn frame
   // must fail to parse rather than merge as garbage; and rerunning the
-  // same plan must replay green, byte-identical to the simulated engine.
+  // same plan must replay green, byte-identical to the simulated runner.
   workloads::WorkloadProfile profile;
   profile.name = "CrashProc";
   profile.epochs = 12;
@@ -697,10 +686,7 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
       workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
   const std::string scratch = root() + "/proc-scratch";
 
-  exec::ProcessReplayExecutorOptions popts;
-  popts.run_prefix = "run";
-  popts.num_partitions = 4;
-  popts.init_mode = InitMode::kWeak;
+  exec::ForkRunnerOptions popts;
   popts.scratch_dir = scratch;
   // Pre-scheduler fail-fast contract, preserved verbatim at
   // max_attempts=1; KilledMidResultWriteIsRetriedToSuccess below covers
@@ -715,11 +701,12 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
     const std::string bytes =
         EncodeResultSections({"half", "written", "fragment"});
     (void)child_fs.AppendFile(
-        exec::ProcessReplayExecutor::ResultFileName(1),
+        exec::ForkRunner::ResultFileName(1),
         bytes.substr(0, bytes.size() / 2));
     raise(SIGKILL);
   };
-  auto failed = exec::ProcessReplayExecutor(&fs, popts).Run(factory);
+  auto failed = RunPartitionedReplay(factory, &fs, testutil::WeakPlan(4),
+                                     exec::ForkRunner(popts));
   ASSERT_FALSE(failed.ok());
   const std::string msg = failed.status().message();
   EXPECT_NE(msg.find("partition 1/4"), std::string::npos) << msg;
@@ -732,32 +719,30 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
   // a silently merged garbage fragment.
   PosixFileSystem scratch_fs(scratch);
   ASSERT_TRUE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(1)));
+      exec::ForkRunner::ResultFileName(1)));
   auto torn = ReadResultFile(&scratch_fs,
-                             exec::ProcessReplayExecutor::ResultFileName(1));
+                             exec::ForkRunner::ResultFileName(1));
   ASSERT_FALSE(torn.ok());
   EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
   // Surviving fragments are intact and decodable.
   for (int w : {0, 2, 3}) {
     auto bytes = scratch_fs.ReadFile(
-        exec::ProcessReplayExecutor::ResultFileName(w));
+        exec::ForkRunner::ResultFileName(w));
     ASSERT_TRUE(bytes.ok()) << "worker " << w;
     EXPECT_TRUE(DecodeWorkerResult(*bytes).ok()) << "worker " << w;
   }
 
   // Rerunning the same plan replays green and byte-identical to the
-  // simulated engine — the crash left no durable damage.
-  exec::ProcessReplayExecutorOptions clean = popts;
+  // simulated runner — the crash left no durable damage.
+  exec::ForkRunnerOptions clean = popts;
   clean.child_before_result_write = nullptr;
-  auto rerun = exec::ProcessReplayExecutor(&fs, clean).Run(factory);
+  auto rerun = RunPartitionedReplay(factory, &fs, testutil::WeakPlan(4),
+                                    exec::ForkRunner(clean));
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   EXPECT_TRUE(rerun->deferred.ok);
 
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts);
+  auto sim_result =
+      RunPartitionedReplay(factory, &fs, testutil::WeakPlan(4), SimRunner());
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_EQ(rerun->merged_logs.Serialize(),
@@ -770,7 +755,7 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
   // result path — but with the default retry budget, the scheduler
   // re-forks the partition, the clean attempt-2 fragment commits under its
   // own attempt-suffixed name (the torn attempt-1 file cannot shadow it),
-  // and the replay completes byte-identical to the simulated engine.
+  // and the replay completes byte-identical to the simulated runner.
   workloads::WorkloadProfile profile;
   profile.name = "CrashProcRetry";
   profile.epochs = 12;
@@ -803,10 +788,7 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
       workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
   const std::string scratch = root() + "/proc-scratch";
 
-  exec::ProcessReplayExecutorOptions popts;  // default max_attempts = 2
-  popts.run_prefix = "run";
-  popts.num_partitions = 4;
-  popts.init_mode = InitMode::kWeak;
+  exec::ForkRunnerOptions popts;  // default max_attempts = 2
   popts.scratch_dir = scratch;
   popts.child_before_result_write = [scratch](int worker_id, int attempt) {
     if (worker_id != 1 || attempt != 1) return;
@@ -814,34 +796,32 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
     const std::string bytes =
         EncodeResultSections({"half", "written", "fragment"});
     (void)child_fs.AppendFile(
-        exec::ProcessReplayExecutor::ResultFileName(1, 1),
+        exec::ForkRunner::ResultFileName(1, 1),
         bytes.substr(0, bytes.size() / 2));
     raise(SIGKILL);
   };
-  auto result = exec::ProcessReplayExecutor(&fs, popts).Run(factory);
+  auto result = RunPartitionedReplay(factory, &fs, testutil::WeakPlan(4),
+                                     exec::ForkRunner(popts));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok);
-  EXPECT_EQ(result->retried_partitions, 1);
-  ASSERT_EQ(result->partition_attempts.size(), 4u);
-  EXPECT_EQ(result->partition_attempts[1], 2);
+  EXPECT_EQ(result->runner.retried_partitions, 1);
+  ASSERT_EQ(result->runner.partition_attempts.size(), 4u);
+  EXPECT_EQ(result->runner.partition_attempts[1], 2);
 
   // The torn attempt-1 file is still on disk and still refuses to parse;
   // the committed fragment lives at the attempt-2 name.
   PosixFileSystem scratch_fs(scratch);
   auto torn = ReadResultFile(
-      &scratch_fs, exec::ProcessReplayExecutor::ResultFileName(1, 1));
+      &scratch_fs, exec::ForkRunner::ResultFileName(1, 1));
   ASSERT_FALSE(torn.ok());
   EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
   auto committed = scratch_fs.ReadFile(
-      exec::ProcessReplayExecutor::ResultFileName(1, 2));
+      exec::ForkRunner::ResultFileName(1, 2));
   ASSERT_TRUE(committed.ok());
   EXPECT_TRUE(DecodeWorkerResult(*committed).ok());
 
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts);
+  auto sim_result =
+      RunPartitionedReplay(factory, &fs, testutil::WeakPlan(4), SimRunner());
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_EQ(result->merged_logs.Serialize(),

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "env/background_queue.h"
@@ -124,6 +126,38 @@ TEST_F(PosixFileSystemTest, RoundTripUnderTempRoot) {
   EXPECT_EQ(*fs.ReadFile("sub/dir/file.bin"), "payload!");
   ASSERT_TRUE(fs.DeleteFile("sub/dir/file.bin").ok());
   EXPECT_FALSE(fs.Exists("sub/dir/file.bin"));
+}
+
+TEST_F(PosixFileSystemTest, ListPrefixSurvivesDirectoriesVanishingMidWalk) {
+  // GC and tenant deletes remove whole run directories while other threads
+  // list the root. A walk that trips over a vanished directory must skip
+  // it, not throw (an uncaught filesystem_error aborts the process).
+  PosixFileSystem fs(root());
+  ASSERT_TRUE(fs.WriteFile("keep/stable.bin", "x").ok());
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      const std::string run = "runs/r" + std::to_string(i % 8);
+      for (int f = 0; f < 4; ++f)
+        (void)fs.WriteFile(run + "/ckpt/shard-" + std::to_string(f) + "/obj",
+                           "payload");
+      std::error_code ec;
+      std::filesystem::remove_all(root() + "/" + run, ec);
+    }
+  });
+  auto list_repeatedly = [&] {
+    for (int i = 0; i < 2000; ++i) {
+      const std::vector<std::string> listed = fs.ListPrefix("");
+      ASSERT_TRUE(std::is_sorted(listed.begin(), listed.end()));
+      ASSERT_TRUE(std::binary_search(listed.begin(), listed.end(),
+                                     "keep/stable.bin"));
+      for (const std::string& path : fs.ListPrefix("runs/"))
+        ASSERT_EQ(path.rfind("runs/", 0), 0u) << path;
+    }
+  };
+  list_repeatedly();  // returns early on a failed assertion
+  stop = true;
+  churn.join();
 }
 
 TEST(BackgroundQueue, RunsJobsAndDrains) {

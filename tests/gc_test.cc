@@ -17,10 +17,9 @@
 #include "checkpoint/store.h"
 #include "common/strings.h"
 #include "env/filesystem.h"
-#include "exec/replay_executor.h"
+#include "exec/thread_runner.h"
 #include "flor/record.h"
 #include "flor/replay_plan.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -248,31 +247,23 @@ TEST(CheckpointGc, ReplayEnginesByteIdenticalOnRetiredStore) {
   ASSERT_TRUE(report.ok());
   ASSERT_GT(report->retired_objects(), 0);
 
-  // Simulated engine on the retired store.
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(MakeWorkloadFactory(profile,
-                                                           kProbeInner),
-                                       &fs, copts);
+  // Simulated runner on the retired store.
+  auto sim_result =
+      RunPartitionedReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
+                           testutil::WeakPlan(4), SimRunner());
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok)
       << (sim_result->deferred.anomalies.empty()
               ? ""
               : sim_result->deferred.anomalies[0]);
 
-  // Real engine across thread counts: byte-identical to itself and to the
-  // simulated engine.
+  // Thread runner across thread counts: byte-identical to itself and to
+  // the simulated runner.
   std::string baseline;
   for (int threads : {1, 2, 4}) {
-    exec::ReplayExecutorOptions xopts;
-    xopts.run_prefix = "run";
-    xopts.num_threads = threads;
-    xopts.num_partitions = 4;
-    xopts.init_mode = InitMode::kWeak;
-    exec::ReplayExecutor executor(&fs, xopts);
-    auto result = executor.Run(MakeWorkloadFactory(profile, kProbeInner));
+    auto result =
+        RunPartitionedReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
+                             testutil::WeakPlan(4), exec::ThreadRunner(threads));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(result->deferred.ok);
     const std::string merged = result->merged_logs.Serialize();
@@ -302,12 +293,8 @@ TEST(CheckpointGc, PinnedReplayPlanSurvivesAggressiveRetention) {
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
   ASSERT_FALSE(pinned->empty());
 
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.num_partitions = 4;
-  xopts.init_mode = InitMode::kWeak;
-  auto before = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  auto before =
+      RunPartitionedReplay(factory, &fs, plan_opts, exec::ThreadRunner(4));
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_TRUE(before->deferred.ok);
 
@@ -337,7 +324,8 @@ TEST(CheckpointGc, PinnedReplayPlanSurvivesAggressiveRetention) {
 
   // The same 4-way replay still runs green after retention, and its merged
   // log is byte-identical to the pre-retention run.
-  auto after = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  auto after =
+      RunPartitionedReplay(factory, &fs, plan_opts, exec::ThreadRunner(4));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_TRUE(after->deferred.ok);
   EXPECT_EQ(after->workers_used, before->workers_used);
@@ -376,14 +364,10 @@ TEST(CheckpointGc, DeleteFailuresLeakOrphansNeverBreakReplay) {
   }
   EXPECT_LT(referenced, base.ListPrefix("run/ckpt/").size());
 
-  // Replay ignores orphans: still green on the real engine.
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = 2;
-  xopts.num_partitions = 2;
-  xopts.init_mode = InitMode::kWeak;
-  auto result = exec::ReplayExecutor(&base, xopts)
-                    .Run(MakeWorkloadFactory(profile, kProbeInner));
+  // Replay ignores orphans: still green on the thread runner.
+  auto result =
+      RunPartitionedReplay(MakeWorkloadFactory(profile, kProbeInner), &base,
+                           testutil::WeakPlan(2), exec::ThreadRunner(2));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok);
 }
@@ -453,30 +437,20 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
   for (const auto& r : rec.manifest.records)
     EXPECT_TRUE(tiered.Exists(r.key)) << r.key.ToString();
 
-  // And the demoted run replays green, byte-identically on both engines,
+  // And the demoted run replays green, byte-identically on both runners,
   // faulting old epochs in from the bucket.
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  copts.bucket_prefix = "s3";
-  copts.bucket_rehydrate = false;
-  auto sim_result = sim::ClusterReplay(MakeWorkloadFactory(profile,
-                                                           kProbeInner),
-                                       &fs, copts);
+  ClusterPlanOptions plan = testutil::WeakPlan(4);
+  plan.bucket_prefix = "s3";
+  plan.bucket_rehydrate = false;
+  auto sim_result = RunPartitionedReplay(
+      MakeWorkloadFactory(profile, kProbeInner), &fs, plan, SimRunner());
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_GT(sim_result->bucket_faults, 0);
 
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.num_partitions = 4;
-  xopts.init_mode = InitMode::kWeak;
-  xopts.bucket_prefix = "s3";
-  xopts.bucket_rehydrate = false;
-  auto real_result = exec::ReplayExecutor(&fs, xopts)
-                         .Run(MakeWorkloadFactory(profile, kProbeInner));
+  auto real_result =
+      RunPartitionedReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
+                           plan, exec::ThreadRunner(4));
   ASSERT_TRUE(real_result.ok()) << real_result.status().ToString();
   EXPECT_TRUE(real_result->deferred.ok);
   EXPECT_EQ(real_result->bucket_faults, sim_result->bucket_faults);

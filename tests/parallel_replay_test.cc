@@ -1,9 +1,11 @@
-// Hindsight parallelism: cluster replay engine tests (paper §5.4).
+// Hindsight parallelism: simulated cluster replay tests (paper §5.4) —
+// RunPartitionedReplay on the SimRunner, with billing as a post-pass.
 
 #include <gtest/gtest.h>
 
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
+#include "flor/replay_plan.h"
+#include "sim/cluster.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -47,19 +49,27 @@ double RecordOnto(FileSystem* fs, const WorkloadProfile& profile) {
   return result->runtime_seconds;
 }
 
+/// Simulated replay of "run" on `gpus` workers, pricing restores with the
+/// paper platform's costs.
+Result<PartitionedReplayResult> SimReplay(FileSystem* fs,
+                                          const ProgramFactory& factory,
+                                          int gpus,
+                                          InitMode init = InitMode::kStrong) {
+  ClusterPlanOptions plan;
+  plan.run_prefix = "run";
+  plan.num_workers = gpus;
+  plan.init_mode = init;
+  plan.costs = sim::PaperPlatformCosts();
+  return RunPartitionedReplay(factory, fs, plan, SimRunner());
+}
+
 TEST(ClusterReplay, InnerProbeScalesAcrossWorkers) {
   MemFileSystem fs;
   const WorkloadProfile profile = ParProfile();
   const double record_seconds = RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.cluster.instance = sim::kP3_8xLarge;  // 4 GPUs
-  copts.costs = sim::PaperPlatformCosts();
-
-  auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  auto result = sim::ClusterReplay(factory, &fs, copts);
+  auto result = SimReplay(&fs, MakeWorkloadFactory(profile, kProbeInner),
+                          sim::kP3_8xLarge.gpus);  // 4 GPUs
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->workers_used, 4);
@@ -82,16 +92,9 @@ TEST(ClusterReplay, WeakAndStrongInitAgree) {
   RecordOnto(&fs, profile);
 
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.costs = sim::PaperPlatformCosts();
-
-  copts.init_mode = InitMode::kStrong;
-  auto strong = sim::ClusterReplay(factory, &fs, copts);
+  auto strong = SimReplay(&fs, factory, 4, InitMode::kStrong);
   ASSERT_TRUE(strong.ok());
-  copts.init_mode = InitMode::kWeak;
-  auto weak = sim::ClusterReplay(factory, &fs, copts);
+  auto weak = SimReplay(&fs, factory, 4, InitMode::kWeak);
   ASSERT_TRUE(weak.ok());
 
   EXPECT_TRUE(strong->deferred.ok);
@@ -113,13 +116,7 @@ TEST(ClusterReplay, SpeedupBoundedByLoadBalanceCeiling) {
   const WorkloadProfile profile = ParProfile(10);
   const double record_seconds = RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.costs = sim::PaperPlatformCosts();
-  auto result =
-      sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts);
+  auto result = SimReplay(&fs, MakeWorkloadFactory(profile, kProbeInner), 4);
   ASSERT_TRUE(result.ok());
   const double speedup = record_seconds / result->latency_seconds;
   EXPECT_LE(speedup, 10.0 / 3.0 + 0.01);
@@ -131,13 +128,8 @@ TEST(ClusterReplay, MoreWorkersThanEpochsUsesEpochCount) {
   const WorkloadProfile profile = ParProfile(3);
   RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 2;  // 8 GPUs for 3 epochs
-  copts.costs = sim::PaperPlatformCosts();
-  auto result =
-      sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts);
+  // 8 GPUs for 3 epochs.
+  auto result = SimReplay(&fs, MakeWorkloadFactory(profile, kProbeInner), 8);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->workers_used, 3);
   EXPECT_TRUE(result->deferred.ok);
@@ -148,12 +140,7 @@ TEST(ClusterReplay, OuterProbeIsCheapAndParallel) {
   const WorkloadProfile profile = ParProfile();
   const double record_seconds = RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.costs = sim::PaperPlatformCosts();
-  auto result = sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeOuter),
-                                   &fs, copts);
+  auto result = SimReplay(&fs, MakeWorkloadFactory(profile, kProbeOuter), 4);
   ASSERT_TRUE(result.ok());
   // Partial replay: all training loops restored, not executed.
   EXPECT_EQ(result->skipblocks.executed, 0);
@@ -169,19 +156,18 @@ TEST(ClusterReplay, MachinePricingCoversBusyWorkers) {
   const WorkloadProfile profile = ParProfile();
   RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.costs = sim::PaperPlatformCosts();
-  auto result =
-      sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts);
+  // One 4-GPU machine; billing is a post-pass over the worker times.
+  const sim::Cluster cluster{sim::kP3_8xLarge, 1};
+  auto result = SimReplay(&fs, MakeWorkloadFactory(profile, kProbeInner),
+                          cluster.total_gpus());
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->machine_usage.size(), 1u);
-  EXPECT_NEAR(result->machine_usage[0].cost_dollars,
+  const std::vector<sim::MachineUsage> machine_usage =
+      sim::PriceCluster(cluster, result->worker_seconds);
+  ASSERT_EQ(machine_usage.size(), 1u);
+  EXPECT_NEAR(machine_usage[0].cost_dollars,
               sim::InstanceCost(sim::kP3_8xLarge, result->latency_seconds),
               1e-9);
-  EXPECT_GT(result->total_cost_dollars, 0);
+  EXPECT_GT(sim::TotalClusterCost(machine_usage), 0);
 }
 
 }  // namespace

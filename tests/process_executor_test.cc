@@ -1,7 +1,7 @@
-// Process-level replay engine tests: three-engine byte identity (simulated
-// vs thread pool vs forked processes) over the shared plan, skewed
-// partitions, sampling, partition-level failure reporting, and the
-// corruption-safety of the CRC-framed worker result files.
+// Fork-runner replay tests: three-runner byte identity (simulated vs thread
+// pool vs forked processes) through RunPartitionedReplay, skewed partitions,
+// sampling, partition-level failure reporting, the fork-pool scheduler, and
+// the corruption-safety of the CRC-framed worker result files.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +20,9 @@
 #include "checkpoint/gc.h"
 #include "env/result_file.h"
 #include "env/scratch.h"
-#include "exec/process_executor.h"
-#include "exec/replay_executor.h"
+#include "exec/fork_runner.h"
+#include "exec/thread_runner.h"
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -64,26 +63,26 @@ void RecordOnto(FileSystem* fs, const WorkloadProfile& profile) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 }
 
-Result<exec::ProcessReplayExecutorResult> RunProcesses(
-    FileSystem* fs, const WorkloadProfile& p, int partitions,
-    exec::ProcessReplayExecutorOptions opts = {}) {
-  opts.run_prefix = "run";
-  opts.num_partitions = partitions;
-  opts.init_mode = InitMode::kWeak;
-  exec::ProcessReplayExecutor executor(fs, opts);
-  return executor.Run(MakeWorkloadFactory(p, kProbeInner));
+/// Replays "run" with the inner-loop probe.
+Result<PartitionedReplayResult> Replay(FileSystem* fs,
+                                       const WorkloadProfile& p,
+                                       const ClusterPlanOptions& plan,
+                                       const PartitionRunner& runner) {
+  return RunPartitionedReplay(MakeWorkloadFactory(p, kProbeInner), fs, plan,
+                              runner);
 }
 
-Result<exec::ReplayExecutorResult> RunThreads(FileSystem* fs,
-                                              const WorkloadProfile& p,
-                                              int threads, int partitions) {
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = threads;
-  xopts.num_partitions = partitions;
-  xopts.init_mode = InitMode::kWeak;
-  exec::ReplayExecutor executor(fs, xopts);
-  return executor.Run(MakeWorkloadFactory(p, kProbeInner));
+Result<PartitionedReplayResult> RunProcesses(
+    FileSystem* fs, const WorkloadProfile& p, int partitions,
+    const exec::ForkRunnerOptions& opts = exec::ForkRunnerOptions()) {
+  return Replay(fs, p, testutil::WeakPlan(partitions), exec::ForkRunner(opts));
+}
+
+Result<PartitionedReplayResult> RunThreads(FileSystem* fs,
+                                           const WorkloadProfile& p,
+                                           int threads, int partitions) {
+  return Replay(fs, p, testutil::WeakPlan(partitions),
+                exec::ThreadRunner(threads));
 }
 
 class ProcessReplayTest : public testutil::ScratchDirTest {};
@@ -93,19 +92,14 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityAcrossPartitionCounts) {
   const WorkloadProfile profile = ProcProfile();
   RecordOnto(&fs, profile);
 
-  // Engine 1: simulated cluster (the paper-scale model), G=4.
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(
-      MakeWorkloadFactory(profile, kProbeInner), &fs, copts);
+  // Runner 1: simulated cluster (the paper-scale model), G=4.
+  auto sim_result = Replay(&fs, profile, testutil::WeakPlan(4), SimRunner());
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   ASSERT_TRUE(sim_result->deferred.ok);
   const std::string baseline = sim_result->merged_logs.Serialize();
   ASSERT_FALSE(baseline.empty());
 
-  // Engines 2 and 3 must merge the exact same bytes at every partition
+  // Runners 2 and 3 must merge the exact same bytes at every partition
   // count (merging concatenates partitions in epoch order, so G is
   // invisible in the merged stream).
   for (int partitions : {1, 2, 4, 8}) {
@@ -122,12 +116,13 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityAcrossPartitionCounts) {
                                              : proc->deferred.anomalies[0]);
     EXPECT_EQ(proc->merged_logs.Serialize(), baseline)
         << "process engine diverges at G=" << partitions;
-    EXPECT_EQ(proc->processes_used, proc->workers_used);
+    EXPECT_EQ(proc->runner.partition_attempts.size(),
+              static_cast<size_t>(proc->workers_used));
     EXPECT_EQ(proc->workers_used, threaded->workers_used);
     EXPECT_GT(proc->wall_seconds, 0);
-    EXPECT_EQ(proc->total_forks, proc->workers_used);
-    EXPECT_LE(proc->max_observed_children, proc->pool_size);
-    EXPECT_EQ(proc->retried_partitions, 0);
+    EXPECT_EQ(proc->runner.total_forks, proc->workers_used);
+    EXPECT_LE(proc->runner.max_observed_children, proc->runner.pool_size);
+    EXPECT_EQ(proc->runner.retried_partitions, 0);
 
     // Full-stats parity with the thread engine, not just the log bytes:
     // the result files carried everything across the process boundary.
@@ -148,20 +143,20 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityAcrossPartitionCounts) {
   // pool smaller than G complete out of order relative to fork order, and
   // the merged bytes must not move.
   for (int pool : {2, 3}) {
-    exec::ProcessReplayExecutorOptions popts;
+    exec::ForkRunnerOptions popts;
     popts.max_concurrent_children = pool;
     auto proc = RunProcesses(&fs, profile, /*partitions=*/8, popts);
     ASSERT_TRUE(proc.ok()) << proc.status().ToString();
     EXPECT_TRUE(proc->deferred.ok);
     EXPECT_EQ(proc->merged_logs.Serialize(), baseline)
         << "process engine diverges at G=8 pool=" << pool;
-    EXPECT_EQ(proc->pool_size, pool);
-    EXPECT_LE(proc->max_observed_children, pool);
+    EXPECT_EQ(proc->runner.pool_size, pool);
+    EXPECT_LE(proc->runner.max_observed_children, pool);
   }
 
   // ...and retried partitions: a worker SIGKILLed on its first attempt is
   // re-forked, and the attempt-2 fragment merges to the same bytes.
-  exec::ProcessReplayExecutorOptions retry_opts;
+  exec::ForkRunnerOptions retry_opts;
   retry_opts.max_concurrent_children = 2;
   retry_opts.child_before_session = [](int worker_id, int attempt) {
     if (worker_id == 5 && attempt == 1) raise(SIGKILL);
@@ -171,11 +166,11 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityAcrossPartitionCounts) {
   EXPECT_TRUE(retried->deferred.ok);
   EXPECT_EQ(retried->merged_logs.Serialize(), baseline)
       << "process engine diverges after a retried partition";
-  EXPECT_EQ(retried->retried_partitions, 1);
-  EXPECT_EQ(retried->total_forks, retried->workers_used + 1);
-  ASSERT_EQ(retried->partition_attempts.size(),
+  EXPECT_EQ(retried->runner.retried_partitions, 1);
+  EXPECT_EQ(retried->runner.total_forks, retried->workers_used + 1);
+  ASSERT_EQ(retried->runner.partition_attempts.size(),
             static_cast<size_t>(retried->workers_used));
-  EXPECT_EQ(retried->partition_attempts[5], 2);
+  EXPECT_EQ(retried->runner.partition_attempts[5], 2);
 }
 
 TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
@@ -197,12 +192,7 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   }
 
   // Pre-GC baseline, no bucket involvement.
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  auto before = sim::ClusterReplay(
-      MakeWorkloadFactory(profile, kProbeInner), &fs, copts);
+  auto before = Replay(&fs, profile, testutil::WeakPlan(4), SimRunner());
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_TRUE(before->deferred.ok);
   const std::string baseline = before->merged_logs.Serialize();
@@ -214,35 +204,24 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   ASSERT_TRUE(gc->demoted_to_bucket);
   ASSERT_GT(gc->retired_objects(), 0);
 
-  // Rehydration off everywhere so the store stays demoted between engines
+  // Rehydration off everywhere so the store stays demoted between runners
   // and each one observes the same fault set.
-  copts.bucket_prefix = "s3";
-  copts.bucket_rehydrate = false;
-  auto sim_result = sim::ClusterReplay(
-      MakeWorkloadFactory(profile, kProbeInner), &fs, copts);
+  ClusterPlanOptions demoted = testutil::WeakPlan(4);
+  demoted.bucket_prefix = "s3";
+  demoted.bucket_rehydrate = false;
+  auto sim_result = Replay(&fs, profile, demoted, SimRunner());
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_GT(sim_result->bucket_faults, 0);
   EXPECT_EQ(sim_result->merged_logs.Serialize(), baseline);
 
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.num_partitions = 4;
-  xopts.init_mode = InitMode::kWeak;
-  xopts.bucket_prefix = "s3";
-  xopts.bucket_rehydrate = false;
-  auto threaded = exec::ReplayExecutor(&fs, xopts)
-                      .Run(MakeWorkloadFactory(profile, kProbeInner));
+  auto threaded = Replay(&fs, profile, demoted, exec::ThreadRunner(4));
   ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
   EXPECT_TRUE(threaded->deferred.ok);
   EXPECT_GT(threaded->bucket_faults, 0);
   EXPECT_EQ(threaded->merged_logs.Serialize(), baseline);
 
-  exec::ProcessReplayExecutorOptions popts;
-  popts.bucket_prefix = "s3";
-  popts.bucket_rehydrate = false;
-  auto proc = RunProcesses(&fs, profile, /*partitions=*/4, popts);
+  auto proc = Replay(&fs, profile, demoted, exec::ForkRunner());
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
   EXPECT_TRUE(proc->deferred.ok)
       << (proc->deferred.anomalies.empty() ? ""
@@ -282,23 +261,17 @@ TEST_F(ProcessReplayTest, SamplingReplayRunsSingleProcess) {
   const WorkloadProfile profile = ProcProfile(12);
   RecordOnto(&fs, profile);
 
-  exec::ProcessReplayExecutorOptions popts;
-  popts.sample_epochs = {3, 7};
-  auto proc = RunProcesses(&fs, profile, /*partitions=*/4, popts);
+  ClusterPlanOptions sampled = testutil::WeakPlan(4);
+  sampled.sample_epochs = {3, 7};
+  auto proc = Replay(&fs, profile, sampled, exec::ForkRunner());
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
-  EXPECT_EQ(proc->processes_used, 1);
+  EXPECT_EQ(proc->runner.total_forks, 1);
   EXPECT_EQ(proc->worker_seconds.size(), 1u);
   EXPECT_TRUE(proc->deferred.ok);
   // Probe output for exactly the sampled epochs' batches.
   EXPECT_EQ(proc->probe_entries.size(), 2u * 4u);
 
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.sample_epochs = {3, 7};
-  xopts.init_mode = InitMode::kWeak;
-  auto threaded = exec::ReplayExecutor(&fs, xopts)
-                      .Run(MakeWorkloadFactory(profile, kProbeInner));
+  auto threaded = Replay(&fs, profile, sampled, exec::ThreadRunner(4));
   ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
   EXPECT_EQ(proc->merged_logs.Serialize(),
             threaded->merged_logs.Serialize());
@@ -337,7 +310,7 @@ TEST_F(ProcessReplayTest, ReportsExactlyWhichPartitionDied) {
   RecordOnto(&fs, profile);
 
   const std::string scratch = root() + "/scratch";
-  exec::ProcessReplayExecutorOptions popts;
+  exec::ForkRunnerOptions popts;
   popts.scratch_dir = scratch;
   // max_attempts=1 is the pre-scheduler contract, preserved verbatim: no
   // retry, the dead partition fails the replay by name.
@@ -360,7 +333,7 @@ TEST_F(ProcessReplayTest, ReportsExactlyWhichPartitionDied) {
   PosixFileSystem scratch_fs(scratch);
   for (int w : {0, 2, 3}) {
     auto bytes = scratch_fs.ReadFile(
-        exec::ProcessReplayExecutor::ResultFileName(w));
+        exec::ForkRunner::ResultFileName(w));
     ASSERT_TRUE(bytes.ok()) << "worker " << w;
     auto decoded = DecodeWorkerResult(*bytes);
     ASSERT_TRUE(decoded.ok())
@@ -368,10 +341,10 @@ TEST_F(ProcessReplayTest, ReportsExactlyWhichPartitionDied) {
     EXPECT_GT(decoded->logs.size(), 0u) << "worker " << w;
   }
   EXPECT_FALSE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(1)));
+      exec::ForkRunner::ResultFileName(1)));
 
   // Rerunning the same plan without the fault replays green.
-  exec::ProcessReplayExecutorOptions clean;
+  exec::ForkRunnerOptions clean;
   clean.scratch_dir = scratch;
   auto rerun = RunProcesses(&fs, profile, /*partitions=*/4, clean);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
@@ -387,7 +360,7 @@ TEST_F(ProcessReplayTest, AutoScratchIsPreservedOnPartitionFailure) {
   const WorkloadProfile profile = ProcProfile();
   RecordOnto(&fs, profile);
 
-  exec::ProcessReplayExecutorOptions popts;  // scratch_dir empty
+  exec::ForkRunnerOptions popts;  // scratch_dir empty
   popts.max_attempts = 1;
   popts.child_before_session = [](int worker_id, int) {
     if (worker_id == 1) raise(SIGKILL);
@@ -406,7 +379,7 @@ TEST_F(ProcessReplayTest, AutoScratchIsPreservedOnPartitionFailure) {
   PosixFileSystem scratch_fs(scratch);
   for (int w : {0, 2, 3}) {
     auto bytes = scratch_fs.ReadFile(
-        exec::ProcessReplayExecutor::ResultFileName(w));
+        exec::ForkRunner::ResultFileName(w));
     ASSERT_TRUE(bytes.ok()) << "worker " << w << " in " << scratch;
     EXPECT_TRUE(DecodeWorkerResult(*bytes).ok()) << "worker " << w;
   }
@@ -422,8 +395,9 @@ TEST_F(ProcessReplayTest, ChildReplayFailureReturnsPartitionStatus) {
   // before replaying: the session fails inside the child and the status
   // must cross the process boundary through the framed error file.
   const std::string run_root = root();
-  exec::ProcessReplayExecutorOptions popts;
-  popts.sample_epochs = {3};
+  ClusterPlanOptions sampled = testutil::WeakPlan(1);
+  sampled.sample_epochs = {3};
+  exec::ForkRunnerOptions popts;
   // Default max_attempts: a *clean* replay failure is deterministic and
   // must not be retried even with retry budget left.
   popts.child_before_session = [run_root](int, int) {
@@ -431,7 +405,7 @@ TEST_F(ProcessReplayTest, ChildReplayFailureReturnsPartitionStatus) {
     (void)child_fs.DeleteFile("run/logs.tsv");
     (void)child_fs.DeleteFile("run/manifest.tsv");
   };
-  auto failed = RunProcesses(&fs, profile, /*partitions=*/1, popts);
+  auto failed = Replay(&fs, profile, sampled, exec::ForkRunner(popts));
   ASSERT_FALSE(failed.ok());
   EXPECT_NE(failed.status().message().find("partition 0/1"),
             std::string::npos)
@@ -451,11 +425,11 @@ TEST_F(ProcessReplayTest, StaleScratchFilesNeverPassForFreshResults) {
   for (int w = 0; w < 4; ++w) {
     ASSERT_TRUE(scratch_fs
                     .WriteFile(
-                        exec::ProcessReplayExecutor::ResultFileName(w),
+                        exec::ForkRunner::ResultFileName(w),
                         "stale garbage from a previous run")
                     .ok());
   }
-  exec::ProcessReplayExecutorOptions popts;
+  exec::ForkRunnerOptions popts;
   popts.scratch_dir = scratch;
   auto proc = RunProcesses(&fs, profile, /*partitions=*/4, popts);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
@@ -475,7 +449,7 @@ TEST_F(ProcessReplayTest, SigkilledPartitionIsRetriedAndReplaySucceeds) {
   RecordOnto(&fs, profile);
 
   const std::string scratch = root() + "/scratch";
-  exec::ProcessReplayExecutorOptions popts;  // default max_attempts = 2
+  exec::ForkRunnerOptions popts;  // default max_attempts = 2
   popts.scratch_dir = scratch;
   popts.max_concurrent_children = 2;
   popts.child_before_session = [](int worker_id, int attempt) {
@@ -484,18 +458,18 @@ TEST_F(ProcessReplayTest, SigkilledPartitionIsRetriedAndReplaySucceeds) {
   auto proc = RunProcesses(&fs, profile, /*partitions=*/4, popts);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
   EXPECT_TRUE(proc->deferred.ok);
-  EXPECT_EQ(proc->retried_partitions, 1);
-  EXPECT_EQ(proc->total_forks, proc->workers_used + 1);
-  ASSERT_EQ(proc->partition_attempts.size(), 4u);
-  EXPECT_EQ(proc->partition_attempts[1], 2);
+  EXPECT_EQ(proc->runner.retried_partitions, 1);
+  EXPECT_EQ(proc->runner.total_forks, proc->workers_used + 1);
+  ASSERT_EQ(proc->runner.partition_attempts.size(), 4u);
+  EXPECT_EQ(proc->runner.partition_attempts[1], 2);
 
   // The dead attempt committed nothing at its name; the retry committed
   // at the attempt-2 name.
   PosixFileSystem scratch_fs(scratch);
   EXPECT_FALSE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(1, 1)));
+      exec::ForkRunner::ResultFileName(1, 1)));
   auto bytes = scratch_fs.ReadFile(
-      exec::ProcessReplayExecutor::ResultFileName(1, 2));
+      exec::ForkRunner::ResultFileName(1, 2));
   ASSERT_TRUE(bytes.ok());
   EXPECT_TRUE(DecodeWorkerResult(*bytes).ok());
 
@@ -511,7 +485,7 @@ TEST_F(ProcessReplayTest, RetriesExhaustedFailsNamingAttempts) {
   RecordOnto(&fs, profile);
 
   const std::string scratch = root() + "/scratch";
-  exec::ProcessReplayExecutorOptions popts;
+  exec::ForkRunnerOptions popts;
   popts.scratch_dir = scratch;
   popts.max_attempts = 2;
   popts.child_before_session = [](int worker_id, int) {
@@ -531,7 +505,7 @@ TEST_F(ProcessReplayTest, RetriesExhaustedFailsNamingAttempts) {
   PosixFileSystem scratch_fs(scratch);
   for (int w : {0, 2, 3}) {
     auto bytes = scratch_fs.ReadFile(
-        exec::ProcessReplayExecutor::ResultFileName(w));
+        exec::ForkRunner::ResultFileName(w));
     ASSERT_TRUE(bytes.ok()) << "worker " << w;
     EXPECT_TRUE(DecodeWorkerResult(*bytes).ok()) << "worker " << w;
   }
@@ -561,7 +535,7 @@ void Bump(const std::string& scratch, int partitions) {
   PosixFileSystem scratch_fs(scratch);
   int committed = 0;
   for (int w = 0; w < partitions; ++w) {
-    if (scratch_fs.Exists(exec::ProcessReplayExecutor::ResultFileName(w)))
+    if (scratch_fs.Exists(exec::ForkRunner::ResultFileName(w)))
       ++committed;
   }
   high_water = std::max(high_water, started - committed);
@@ -587,7 +561,7 @@ TEST_F(ProcessReplayTest, ConcurrentChildrenNeverExceedPoolCap) {
   const std::string scratch = root() + "/scratch";
   const int kPartitions = 8;
   const int kPool = 2;
-  exec::ProcessReplayExecutorOptions popts;
+  exec::ForkRunnerOptions popts;
   popts.scratch_dir = scratch;
   popts.max_concurrent_children = kPool;
   popts.child_before_session = [scratch](int, int) {
@@ -598,8 +572,8 @@ TEST_F(ProcessReplayTest, ConcurrentChildrenNeverExceedPoolCap) {
   // The planner may clamp below the requested G; what matters is that the
   // active count exceeds the pool so the scheduler actually queues.
   EXPECT_GT(proc->workers_used, kPool);
-  EXPECT_EQ(proc->pool_size, kPool);
-  EXPECT_LE(proc->max_observed_children, kPool);
+  EXPECT_EQ(proc->runner.pool_size, kPool);
+  EXPECT_LE(proc->runner.max_observed_children, kPool);
 
   int started = 0, high_water = 0;
   capstats::Read(scratch, &started, &high_water);
@@ -614,7 +588,7 @@ TEST_F(ProcessReplayTest, SpeculativeReforkOutpacesStraggler) {
   RecordOnto(&fs, profile);
 
   const std::string scratch = root() + "/scratch";
-  exec::ProcessReplayExecutorOptions popts;
+  exec::ForkRunnerOptions popts;
   popts.scratch_dir = scratch;
   popts.max_concurrent_children = 4;
   popts.speculate_stragglers = true;
@@ -629,19 +603,19 @@ TEST_F(ProcessReplayTest, SpeculativeReforkOutpacesStraggler) {
   auto proc = RunProcesses(&fs, profile, /*partitions=*/4, popts);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
   EXPECT_TRUE(proc->deferred.ok);
-  EXPECT_EQ(proc->speculative_forks, 1);
-  EXPECT_EQ(proc->speculative_wins, 1);
-  EXPECT_EQ(proc->retried_partitions, 0);  // speculation, not death retry
-  ASSERT_EQ(proc->partition_attempts.size(), 4u);
-  EXPECT_EQ(proc->partition_attempts[3], 2);
+  EXPECT_EQ(proc->runner.speculative_forks, 1);
+  EXPECT_EQ(proc->runner.speculative_wins, 1);
+  EXPECT_EQ(proc->runner.retried_partitions, 0);  // speculation, not retry
+  ASSERT_EQ(proc->runner.partition_attempts.size(), 4u);
+  EXPECT_EQ(proc->runner.partition_attempts[3], 2);
 
   // The winner committed at the attempt-2 name; the killed straggler
   // never committed at its own.
   PosixFileSystem scratch_fs(scratch);
   EXPECT_FALSE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(3, 1)));
+      exec::ForkRunner::ResultFileName(3, 1)));
   EXPECT_TRUE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(3, 2)));
+      exec::ForkRunner::ResultFileName(3, 2)));
 
   auto threaded = RunThreads(&fs, profile, /*threads=*/4, /*partitions=*/4);
   ASSERT_TRUE(threaded.ok());
@@ -657,7 +631,7 @@ TEST_F(ProcessReplayTest, ShrinkingPartitionCountClearsAllStaleScratch) {
   // First run: G=4 with a retried partition, so the caller-owned scratch
   // holds worker-0..3 results *plus* an attempt-suffixed fragment.
   const std::string scratch = root() + "/scratch";
-  exec::ProcessReplayExecutorOptions popts;
+  exec::ForkRunnerOptions popts;
   popts.scratch_dir = scratch;
   popts.child_before_session = [](int worker_id, int attempt) {
     if (worker_id == 3 && attempt == 1) raise(SIGKILL);
@@ -666,22 +640,22 @@ TEST_F(ProcessReplayTest, ShrinkingPartitionCountClearsAllStaleScratch) {
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   PosixFileSystem scratch_fs(scratch);
   ASSERT_TRUE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(3, 2)));
+      exec::ForkRunner::ResultFileName(3, 2)));
 
   // Second run shrinks to G=2: every stale file from the wider run —
   // including ids past the new active count and attempt-suffixed names
   // the per-id clearing loop used to miss — must be gone afterwards.
-  exec::ProcessReplayExecutorOptions narrow;
+  exec::ForkRunnerOptions narrow;
   narrow.scratch_dir = scratch;
   auto second = RunProcesses(&fs, profile, /*partitions=*/2, narrow);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_TRUE(second->deferred.ok);
   EXPECT_FALSE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(2)));
+      exec::ForkRunner::ResultFileName(2)));
   EXPECT_FALSE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(3)));
+      exec::ForkRunner::ResultFileName(3)));
   EXPECT_FALSE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(3, 2)));
+      exec::ForkRunner::ResultFileName(3, 2)));
 
   auto threaded = RunThreads(&fs, profile, /*threads=*/2, /*partitions=*/2);
   ASSERT_TRUE(threaded.ok());
@@ -697,7 +671,7 @@ TEST_F(ProcessReplayTest, WorkerResultRoundTripsExactly) {
   RecordOnto(&fs, profile);
 
   const std::string scratch = root() + "/scratch";
-  exec::ProcessReplayExecutorOptions popts;
+  exec::ForkRunnerOptions popts;
   popts.scratch_dir = scratch;
   auto proc = RunProcesses(&fs, profile, /*partitions=*/2, popts);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
@@ -705,7 +679,7 @@ TEST_F(ProcessReplayTest, WorkerResultRoundTripsExactly) {
   PosixFileSystem scratch_fs(scratch);
   for (int w = 0; w < 2; ++w) {
     auto bytes = scratch_fs.ReadFile(
-        exec::ProcessReplayExecutor::ResultFileName(w));
+        exec::ForkRunner::ResultFileName(w));
     ASSERT_TRUE(bytes.ok());
     auto decoded = DecodeWorkerResult(*bytes);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -724,14 +698,14 @@ TEST_F(ProcessReplayTest, TruncatedOrMutatedResultFileNeverParses) {
   RecordOnto(&fs, profile);
 
   const std::string scratch = root() + "/scratch";
-  exec::ProcessReplayExecutorOptions popts;
+  exec::ForkRunnerOptions popts;
   popts.scratch_dir = scratch;
   auto proc = RunProcesses(&fs, profile, /*partitions=*/2, popts);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
 
   PosixFileSystem scratch_fs(scratch);
   auto bytes = scratch_fs.ReadFile(
-      exec::ProcessReplayExecutor::ResultFileName(0));
+      exec::ForkRunner::ResultFileName(0));
   ASSERT_TRUE(bytes.ok());
   const std::string& full = *bytes;
   ASSERT_TRUE(DecodeWorkerResult(full).ok());

@@ -11,7 +11,8 @@
 #include "flor/record.h"
 #include "ir/builder.h"
 #include "flor/replay.h"
-#include "sim/parallel_replay.h"
+#include "flor/replay_plan.h"
+#include "sim/cost_model.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -125,12 +126,11 @@ TEST_P(PartitionEquivalence, MergedOutputMatchesSequential) {
   }
 
   // Partitioned run.
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.cluster.instance = {"test", gpus, 1.0};
-  copts.costs = sim::PaperPlatformCosts();
-  auto result = sim::ClusterReplay(factory, &fs, copts);
+  ClusterPlanOptions plan;
+  plan.run_prefix = "run";
+  plan.num_workers = gpus;
+  plan.costs = sim::PaperPlatformCosts();
+  auto result = RunPartitionedReplay(factory, &fs, plan, SimRunner());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok)
       << (result->deferred.anomalies.empty()

@@ -1,6 +1,6 @@
-// Real thread-pool replay engine tests: determinism across thread counts,
-// agreement with the simulated engine, deferred-check parity, skewed
-// partitions, and the work-stealing pool itself.
+// Thread-runner replay tests: determinism across thread counts, agreement
+// with the simulated runner, deferred-check parity, skewed partitions, and
+// the work-stealing pool itself.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,8 @@
 #include <mutex>
 #include <thread>
 
-#include "exec/replay_executor.h"
+#include "exec/thread_runner.h"
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -55,17 +54,27 @@ void RecordOnto(FileSystem* fs, const WorkloadProfile& profile) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 }
 
-Result<exec::ReplayExecutorResult> RunExecutor(FileSystem* fs,
-                                               const WorkloadProfile& p,
-                                               int threads,
-                                               int partitions = 4) {
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = threads;
-  xopts.num_partitions = partitions;
-  xopts.init_mode = InitMode::kWeak;
-  exec::ReplayExecutor executor(fs, xopts);
-  return executor.Run(MakeWorkloadFactory(p, kProbeInner));
+Result<PartitionedReplayResult> RunExecutor(FileSystem* fs,
+                                            const WorkloadProfile& p,
+                                            int threads,
+                                            int partitions = 4) {
+  ClusterPlanOptions plan;
+  plan.run_prefix = "run";
+  plan.num_workers = partitions;
+  plan.init_mode = InitMode::kWeak;
+  return RunPartitionedReplay(MakeWorkloadFactory(p, kProbeInner), fs, plan,
+                              exec::ThreadRunner(threads));
+}
+
+/// The simulated runner at the paper's G=4 (one 4-GPU machine).
+Result<PartitionedReplayResult> RunSimulated(FileSystem* fs,
+                                             const WorkloadProfile& p) {
+  ClusterPlanOptions plan;
+  plan.run_prefix = "run";
+  plan.num_workers = 4;
+  plan.init_mode = InitMode::kWeak;
+  return RunPartitionedReplay(MakeWorkloadFactory(p, kProbeInner), fs, plan,
+                              SimRunner());
 }
 
 TEST(ReplayExecutor, MergedLogsByteIdenticalAcrossThreadCounts) {
@@ -84,7 +93,7 @@ TEST(ReplayExecutor, MergedLogsByteIdenticalAcrossThreadCounts) {
                 ? ""
                 : result->deferred.anomalies[0]);
     EXPECT_EQ(result->workers_used, 4);
-    EXPECT_EQ(result->threads_used, std::min(threads, 4));
+    EXPECT_EQ(result->runner.threads_used, std::min(threads, 4));
     const std::string merged = result->merged_logs.Serialize();
     if (threads == 1) {
       baseline = merged;
@@ -102,17 +111,11 @@ TEST(ReplayExecutor, AgreesWithSimulatedEngineByteForByte) {
   const WorkloadProfile profile = ExecProfile();
   RecordOnto(&fs, profile);
 
-  // Simulated engine on the paper's 4-GPU machine.
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  auto sim_result =
-      sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts);
+  // Simulated runner on the paper's 4-GPU machine.
+  auto sim_result = RunSimulated(&fs, profile);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
 
-  // Real engine, same G=4 partitioning.
+  // Thread runner, same G=4 partitioning.
   auto real_result = RunExecutor(&fs, profile, /*threads=*/4);
   ASSERT_TRUE(real_result.ok()) << real_result.status().ToString();
 
@@ -151,13 +154,7 @@ TEST(ReplayExecutor, ShardedStoreKeepsByteIdentityAcrossEnginesAndThreads) {
   // The record run really sharded the object layout.
   EXPECT_FALSE(fs.ListPrefix("run/ckpt/shard-").empty());
 
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  auto sim_result =
-      sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts);
+  auto sim_result = RunSimulated(&fs, profile);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
 
@@ -183,17 +180,17 @@ TEST(ReplayExecutor, StrongInitMatchesWeakInit) {
   const WorkloadProfile profile = ExecProfile();
   RecordOnto(&fs, profile);
 
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.num_partitions = 4;
+  ClusterPlanOptions plan;
+  plan.run_prefix = "run";
+  plan.num_workers = 4;
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
 
-  xopts.init_mode = InitMode::kStrong;
-  auto strong = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  plan.init_mode = InitMode::kStrong;
+  auto strong =
+      RunPartitionedReplay(factory, &fs, plan, exec::ThreadRunner(4));
   ASSERT_TRUE(strong.ok()) << strong.status().ToString();
-  xopts.init_mode = InitMode::kWeak;
-  auto weak = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  plan.init_mode = InitMode::kWeak;
+  auto weak = RunPartitionedReplay(factory, &fs, plan, exec::ThreadRunner(4));
   ASSERT_TRUE(weak.ok()) << weak.status().ToString();
 
   EXPECT_TRUE(strong->deferred.ok);
@@ -243,7 +240,7 @@ TEST(ReplayExecutor, MorePartitionsThanThreadsCompletesAll) {
   auto fewer = RunExecutor(&fs, profile, /*threads=*/2, /*partitions=*/6);
   ASSERT_TRUE(fewer.ok()) << fewer.status().ToString();
   EXPECT_EQ(fewer->workers_used, 6);
-  EXPECT_EQ(fewer->threads_used, 2);
+  EXPECT_EQ(fewer->runner.threads_used, 2);
   ASSERT_EQ(fewer->worker_seconds.size(), 6u);
   for (double s : fewer->worker_seconds) EXPECT_GT(s, 0);
   EXPECT_TRUE(fewer->deferred.ok);
@@ -258,12 +255,12 @@ TEST(ReplayExecutor, SamplingReplayRunsSingleWorker) {
   const WorkloadProfile profile = ExecProfile(12);
   RecordOnto(&fs, profile);
 
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.sample_epochs = {3, 7};
-  exec::ReplayExecutor executor(&fs, xopts);
-  auto result = executor.Run(MakeWorkloadFactory(profile, kProbeInner));
+  ClusterPlanOptions plan;
+  plan.run_prefix = "run";
+  plan.num_workers = 4;
+  plan.sample_epochs = {3, 7};
+  auto result = RunPartitionedReplay(MakeWorkloadFactory(profile, kProbeInner),
+                                     &fs, plan, exec::ThreadRunner(4));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->worker_seconds.size(), 1u);
   EXPECT_TRUE(result->deferred.ok);

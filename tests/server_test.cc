@@ -5,15 +5,19 @@
 // against in-process Session calls (record manifests, query listings,
 // merged replay logs on all three engines), typed semantic errors that
 // keep the connection usable, corrupt-message hangups, the graceful
-// drain refusal, and TCP loopback. Runs under the `server` ctest label
-// (including the FLOR_TSAN pass in check.sh).
+// drain refusal, handler reaping under many short connections, and TCP
+// loopback. Runs under the `server` ctest label (including both sanitizer
+// passes in check.sh).
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/strings.h"
@@ -674,6 +678,67 @@ TEST_F(ServerTest, DrainedConnectionRefusesWithUnavailable) {
   const ServerStats stats = (*server)->stats();
   EXPECT_EQ(stats.unavailable_refusals, 1);
   EXPECT_EQ(stats.requests_served, 2);
+}
+
+/// Virtual memory size of this process in KiB (Linux /proc), or -1.
+int64_t VmSizeKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) != 0) continue;
+    std::istringstream fields(line.substr(7));  // "  123456 kB"
+    int64_t kib = -1;
+    fields >> kib;
+    return kib;
+  }
+  return -1;
+}
+
+TEST_F(ServerTest, ShortConnectionsDoNotAccumulateHandlerThreads) {
+  // A long-lived server sees an unbounded stream of short connections.
+  // Each handler thread pins its stack until joined, so handlers must be
+  // reaped as they exit, not at Stop().
+  MemFileSystem fs;
+  Env env = testutil::MakeSimEnv(&fs);
+  auto conn = Connection::Open(&env, ConnectionOptions());
+  ASSERT_TRUE(conn.ok());
+  ServerOptions sopts;
+  sopts.unix_path = SocketPath();
+  auto server = Server::Start(conn->get(), sopts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  wire::Request query;
+  query.op = "query";
+  query.tenant = "alice";
+  auto one_query = [&] {
+    auto client = WireClient::ConnectUnix((*server)->unix_path());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto res = client->Call(query);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_TRUE(res->ok()) << res->message;
+  };
+  // Warm up with overlapping clients first: the allocator gives each
+  // concurrently live thread its own arena (64 MiB of address space), so
+  // the arenas that overlapping handlers need must exist before the
+  // baseline. What remains is growth per connection.
+  std::vector<std::thread> warmup;
+  for (int t = 0; t < 8; ++t)
+    warmup.emplace_back([&] {
+      for (int i = 0; i < 8; ++i) one_query();
+    });
+  for (std::thread& t : warmup) t.join();
+  const int64_t before = VmSizeKiB();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status VmSize";
+  const int kConnections = 1000;
+  for (int i = 0; i < kConnections; ++i) {
+    one_query();
+    if (HasFatalFailure()) return;
+  }
+  const int64_t growth_kib = VmSizeKiB() - before;
+  EXPECT_LT(growth_kib, 64 * 1024)
+      << "VmSize grew " << growth_kib << " KiB over " << kConnections
+      << " connections";
+  EXPECT_EQ((*server)->stats().connections_accepted, 64 + kConnections);
 }
 
 TEST_F(ServerTest, TcpLoopbackRoundTrip) {

@@ -8,7 +8,7 @@
 // (per-tenant quotas, starved-wait histogram), per-tenant stats slices,
 // the tenant-attributed GC failure ring, and graceful drain via
 // Connection::Close. Runs under the `service` ctest label (including the
-// FLOR_TSAN pass in check.sh).
+// ThreadSanitizer pass in check.sh).
 
 #include <gtest/gtest.h>
 
@@ -24,12 +24,9 @@
 #include "checkpoint/gc.h"
 #include "common/strings.h"
 #include "env/filesystem.h"
-#include "exec/process_executor.h"
-#include "exec/replay_executor.h"
 #include "flor/record.h"
 #include "flor/replay_plan.h"
 #include "service/service.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -41,21 +38,14 @@ using workloads::kProbeNone;
 using workloads::MakeWorkloadFactory;
 using workloads::WorkloadProfile;
 
-// --- Options-dedup guards: every replay entry point and the service share
-// --- the one TierOptions aggregate (satellite of the connection/session
-// --- redesign). A new tier knob added to TierOptions flows to all of them
-// --- or none.
+// --- Options-dedup guards: the replay request (ClusterPlanOptions, which
+// --- every runner and the service go through) and the per-worker options
+// --- share the one TierOptions aggregate. A new tier knob added to
+// --- TierOptions flows to all of them or none.
 static_assert(std::is_base_of_v<TierOptions, ReplayOptions>,
               "ReplayOptions must inherit the shared TierOptions");
 static_assert(std::is_base_of_v<TierOptions, ClusterPlanOptions>,
               "ClusterPlanOptions must inherit the shared TierOptions");
-static_assert(std::is_base_of_v<TierOptions, sim::ClusterReplayOptions>,
-              "ClusterReplayOptions must inherit the shared TierOptions");
-static_assert(std::is_base_of_v<TierOptions, exec::ReplayExecutorOptions>,
-              "ReplayExecutorOptions must inherit the shared TierOptions");
-static_assert(
-    std::is_base_of_v<TierOptions, exec::ProcessReplayExecutorOptions>,
-    "ProcessReplayExecutorOptions must inherit the shared TierOptions");
 
 /// Densely checkpointed sim workload (the tiered-test shape) so GC and
 /// partitioned replay have a long epoch timeline.
@@ -150,15 +140,15 @@ TEST(ServiceTest, SessionPathByteIdenticalToOneShotEntryPoints) {
   EXPECT_EQ(SnapshotPrefix(fs_svc, "svc"), SnapshotPrefix(fs_direct, "svc"));
   EXPECT_EQ(SnapshotPrefix(fs_svc, "s3"), SnapshotPrefix(fs_direct, "s3"));
 
-  // Replay through the session on all three engines; all merged logs must
-  // be byte-identical to a direct sim::ClusterReplay of the one-shot run.
+  // Replay through the session on all three runners; all merged logs must
+  // be byte-identical to a direct simulated replay of the one-shot run.
   const ProgramFactory probed = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions sim_opts;
+  ClusterPlanOptions sim_opts;
   sim_opts.run_prefix = prefix;
-  sim_opts.cluster.instance = sim::kP3_2xLarge;
-  sim_opts.cluster.num_machines = 2;
+  sim_opts.num_workers = 2;
   sim_opts.bucket_prefix = "s3";
-  auto direct_replay = sim::ClusterReplay(probed, &fs_direct, sim_opts);
+  auto direct_replay =
+      RunPartitionedReplay(probed, &fs_direct, sim_opts, SimRunner());
   ASSERT_TRUE(direct_replay.ok()) << direct_replay.status().ToString();
   ASSERT_TRUE(direct_replay->deferred.ok);
   const std::string golden_logs = direct_replay->merged_logs.Serialize();

@@ -1,7 +1,7 @@
 // SpoolQueue: batched async spooling, retry/failure paths, per-shard
 // reporting, and the concurrent materialize-while-spool interaction with
 // the sharded CheckpointStore. This suite carries the `tsan` ctest label —
-// FLOR_TSAN=1 ./scripts/check.sh runs it under ThreadSanitizer.
+// FLOR_SANITIZE=thread ./scripts/check.sh runs it under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -109,12 +109,11 @@ TEST(SpoolQueue, ShardedStoreLayoutPreservedInBucket) {
   EXPECT_EQ(fs.TotalBytesUnder("s3/run/ckpt/"), store.TotalBytes());
 }
 
-TEST(SpoolQueue, SpoolToS3MirrorsSpoolStoreLayoutRegardlessOfSlashes) {
-  // The two spool entry points must land byte-identical mirror layouts —
+TEST(SpoolQueue, SpoolStoreLayoutIgnoresDestinationTrailingSlashes) {
+  // Every destination spelling must land a byte-identical mirror layout —
   // the bucket tier reads objects at JoinObjectPath(bucket_prefix,
   // PathFor(key)), so a spool that shifts keys by a slash strands every
-  // demoted checkpoint. Stray trailing slashes on either prefix used to do
-  // exactly that to SpoolToS3.
+  // demoted checkpoint.
   MemFileSystem fs;
   CheckpointStore store(&fs, "run/ckpt", /*num_shards=*/4);
   FillStore(&store, 12, 50);
@@ -136,19 +135,17 @@ TEST(SpoolQueue, SpoolToS3MirrorsSpoolStoreLayoutRegardlessOfSlashes) {
   ASSERT_EQ(want.size(), 12u);
 
   const struct {
-    const char* src;
     const char* dst;
     const char* out;
   } kVariants[] = {
-      {"run/ckpt", "mirror/b/run/ckpt", "mirror/b/"},
-      {"run/ckpt/", "mirror/c/run/ckpt/", "mirror/c/"},
-      {"run/ckpt//", "mirror/d/run/ckpt//", "mirror/d/"},
+      {"mirror/b/run/ckpt/", "mirror/b/"},
+      {"mirror/c/run/ckpt//", "mirror/c/"},
   };
   for (const auto& v : kVariants) {
-    auto report = SpoolToS3(&fs, v.src, v.dst);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->objects, 12) << v.src;
-    EXPECT_EQ(image(v.out), want) << v.src << " -> " << v.dst;
+    SpoolReport report = SpoolStore(store, v.dst);
+    ASSERT_TRUE(report.ok()) << report.first_error;
+    EXPECT_EQ(report.objects, 12) << v.dst;
+    EXPECT_EQ(image(v.out), want) << v.dst;
   }
 }
 
@@ -209,14 +206,16 @@ TEST(SpoolQueue, MissingSourceCountsAsFailedObject) {
   EXPECT_EQ(report.objects, 0);
 }
 
-TEST(SpoolQueue, LegacySpoolToS3ErrorsOnPersistentFailure) {
+TEST(SpoolQueue, PersistentFailureFailsTheReport) {
   MemFileSystem base;
   FaultInjectionFileSystem fs(&base);
   ASSERT_TRUE(fs.WriteFile("run/ckpt/a", std::string(64, 'x')).ok());
   fs.InjectWriteFailures(1000, "s3/");
-  auto report = SpoolToS3(&fs, "run/ckpt/", "s3/ckpt/");
+  CheckpointStore store(&fs, "run/ckpt");
+  SpoolReport report = SpoolStore(store, "s3/ckpt/");
   EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(report.failed_objects, 1);
+  EXPECT_FALSE(report.first_error.empty());
 }
 
 TEST(SpoolQueue, ConcurrentMaterializeWhileSpooling) {

@@ -14,6 +14,7 @@
 
 #include "common/random.h"
 #include "env/env.h"
+#include "flor/replay_plan.h"
 
 namespace flor {
 namespace testutil {
@@ -37,6 +38,16 @@ inline Rng SeededRng(uint64_t salt = 0) { return Rng(TestSeed(salt)); }
 /// (usually in-memory) filesystem.
 inline Env MakeSimEnv(FileSystem* fs) {
   return Env(std::make_unique<SimClock>(), fs);
+}
+
+/// A weak-init partitioned-replay request for the record run "run" at
+/// G=`workers`; callers add tier or sampling fields as needed.
+inline ClusterPlanOptions WeakPlan(int workers) {
+  ClusterPlanOptions plan;
+  plan.run_prefix = "run";
+  plan.num_workers = workers;
+  plan.init_mode = InitMode::kWeak;
+  return plan;
 }
 
 /// Fixture owning a unique on-disk scratch directory, wiped on setup and

@@ -1,8 +1,9 @@
 // Tiered checkpoint store (local shard → bucket mirror): read fall-through
 // and rehydration, demotion under local GC, bucket-tier retirement with
 // the manifest-first ordering contract, orphan reconciliation, and replay
-// byte-parity across engines on an aggressively demoted store. Runs under
-// the `tiered` ctest label (including the FLOR_TSAN pass in check.sh).
+// byte-parity across runners on an aggressively demoted store. Runs under
+// the `tiered` ctest label (including the ThreadSanitizer pass in
+// check.sh).
 
 #include <gtest/gtest.h>
 
@@ -18,10 +19,9 @@
 #include "checkpoint/store.h"
 #include "common/strings.h"
 #include "env/filesystem.h"
-#include "exec/replay_executor.h"
+#include "exec/thread_runner.h"
 #include "flor/record.h"
 #include "flor/replay_plan.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -199,14 +199,10 @@ TEST(TieredStore, TornBucketObjectIsCorruptionNeverACrash) {
 
   // A full replay that needs the torn object fails with a status (never a
   // crash) — and an intact sibling still faults in fine.
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  copts.bucket_prefix = "s3";
-  auto replayed = sim::ClusterReplay(MakeWorkloadFactory(profile,
-                                                         kProbeInner),
-                                     &fs, copts);
+  ClusterPlanOptions plan = testutil::WeakPlan(4);
+  plan.bucket_prefix = "s3";
+  auto replayed = RunPartitionedReplay(
+      MakeWorkloadFactory(profile, kProbeInner), &fs, plan, SimRunner());
   ASSERT_FALSE(replayed.ok());
   EXPECT_TRUE(replayed.status().IsCorruption())
       << replayed.status().ToString();
@@ -265,11 +261,8 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   RecordWithMirror(&fs, profile);
 
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  auto before = sim::ClusterReplay(factory, &fs, copts);
+  ClusterPlanOptions plan = testutil::WeakPlan(4);
+  auto before = RunPartitionedReplay(factory, &fs, plan, SimRunner());
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_TRUE(before->deferred.ok);
   EXPECT_EQ(before->bucket_faults, 0);
@@ -281,22 +274,19 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   ASSERT_TRUE(gc->demoted_to_bucket);
   ASSERT_GT(gc->retired_objects(), 0);
 
-  copts.bucket_prefix = "s3";
-  copts.bucket_rehydrate = false;
-  auto sim_after = sim::ClusterReplay(factory, &fs, copts);
+  plan.bucket_prefix = "s3";
+  plan.bucket_rehydrate = false;
+  auto sim_after = RunPartitionedReplay(factory, &fs, plan, SimRunner());
   ASSERT_TRUE(sim_after.ok()) << sim_after.status().ToString();
   EXPECT_TRUE(sim_after->deferred.ok);
   EXPECT_GT(sim_after->bucket_faults, 0);
   EXPECT_EQ(sim_after->merged_logs.Serialize(),
             before->merged_logs.Serialize());
 
-  exec::ReplayExecutorOptions xopts;
-  xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.num_partitions = 4;
-  xopts.init_mode = InitMode::kWeak;
-  xopts.bucket_prefix = "s3";
-  auto real_after = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  ClusterPlanOptions rehydrating = testutil::WeakPlan(4);
+  rehydrating.bucket_prefix = "s3";
+  auto real_after =
+      RunPartitionedReplay(factory, &fs, rehydrating, exec::ThreadRunner(4));
   ASSERT_TRUE(real_after.ok()) << real_after.status().ToString();
   EXPECT_TRUE(real_after->deferred.ok);
   EXPECT_GT(real_after->bucket_faults, 0);
@@ -305,8 +295,8 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
 
   // The threaded engine ran with rehydration on: faulted objects are back
   // on the local shard, so a bucket-less replay works again.
-  copts.bucket_prefix.clear();
-  auto rehydrated = sim::ClusterReplay(factory, &fs, copts);
+  plan.bucket_prefix.clear();
+  auto rehydrated = RunPartitionedReplay(factory, &fs, plan, SimRunner());
   ASSERT_TRUE(rehydrated.ok()) << rehydrated.status().ToString();
   EXPECT_TRUE(rehydrated->deferred.ok);
   EXPECT_EQ(rehydrated->merged_logs.Serialize(),
@@ -318,12 +308,9 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   RecordWithMirror(&fs2, profile);
   auto gc2 = RetireRun(&fs2, "run/manifest.tsv", "run/ckpt", policy, "s3");
   ASSERT_TRUE(gc2.ok());
-  sim::ClusterReplayOptions no_bucket;
-  no_bucket.run_prefix = "run";
-  no_bucket.cluster.num_machines = 1;
-  no_bucket.init_mode = InitMode::kWeak;
+  ClusterPlanOptions no_bucket = testutil::WeakPlan(4);
   no_bucket.bucket_prefix = "nosuch-bucket";
-  auto missing = sim::ClusterReplay(factory, &fs2, no_bucket);
+  auto missing = RunPartitionedReplay(factory, &fs2, no_bucket, SimRunner());
   ASSERT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().IsNotFound())
       << missing.status().ToString();
@@ -522,14 +509,10 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
   EXPECT_EQ(idempotent.local_orphans(), 0);
   EXPECT_EQ(idempotent.bucket_orphans(), 0);
 
-  sim::ClusterReplayOptions copts;
-  copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.init_mode = InitMode::kWeak;
-  copts.bucket_prefix = "s3";
-  auto replayed = sim::ClusterReplay(MakeWorkloadFactory(profile,
-                                                         kProbeInner),
-                                     &fs, copts);
+  ClusterPlanOptions plan = testutil::WeakPlan(4);
+  plan.bucket_prefix = "s3";
+  auto replayed = RunPartitionedReplay(
+      MakeWorkloadFactory(profile, kProbeInner), &fs, plan, SimRunner());
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   EXPECT_TRUE(replayed->deferred.ok);
 }
