@@ -52,22 +52,55 @@ void BM_TensorDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_TensorDecode)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
+/// Codec payload kinds, the second benchmark argument.
+enum PayloadKind : int64_t {
+  kGaussian = 0,       ///< dense weights: LZ finds almost no matches
+  kBlockConstant = 1,  ///< frozen-parameter pattern
+  kMixed = 2,          ///< dense weights next to all-zero optimizer state
+};
+
+/// `floats` float32 values of `kind`, encoded as tensor bytes.
+std::string MakePayload(int64_t floats, int64_t kind) {
+  if (kind != kMixed)
+    return TensorToBytes(MakeTensor(floats, kind == kBlockConstant));
+  std::string out = TensorToBytes(MakeTensor(floats / 2, false));
+  out.append(static_cast<size_t>(floats - floats / 2) * sizeof(float), '\0');
+  return out;
+}
+
 void BM_CompressLz(benchmark::State& state) {
-  const bool compressible = state.range(1) != 0;
-  std::string payload = TensorToBytes(MakeTensor(state.range(0),
-                                                 compressible));
+  std::string payload = MakePayload(state.range(0), state.range(1));
+  size_t packed = 0;
   for (auto _ : state) {
     std::string out = Compress(payload, Codec::kLz);
+    packed = out.size();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(payload.size()));
+  state.counters["ratio"] =
+      static_cast<double>(packed) / static_cast<double>(payload.size());
+}
+// The 16 MiB (1 << 22 floats) rows are checkpoint-sized.
+BENCHMARK(BM_CompressLz)
+    ->Args({1 << 14, kGaussian})
+    ->Args({1 << 14, kBlockConstant})
+    ->Args({1 << 18, kGaussian})
+    ->Args({1 << 18, kBlockConstant})
+    ->Args({1 << 22, kGaussian})
+    ->Args({1 << 22, kMixed});
+
+void BM_DecompressLz(benchmark::State& state) {
+  const std::string payload = MakePayload(state.range(0), state.range(1));
+  const std::string packed = Compress(payload, Codec::kLz);
+  for (auto _ : state) {
+    auto out = Decompress(packed);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(payload.size()));
 }
-BENCHMARK(BM_CompressLz)
-    ->Args({1 << 14, 0})
-    ->Args({1 << 14, 1})
-    ->Args({1 << 18, 0})
-    ->Args({1 << 18, 1});
+BENCHMARK(BM_DecompressLz)->Args({1 << 22, kMixed});
 
 void BM_CompressRle(benchmark::State& state) {
   std::string payload = TensorToBytes(MakeTensor(state.range(0), true));

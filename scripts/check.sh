@@ -2,7 +2,10 @@
 # Pre-PR gate: configure, build everything (libs, tests, benches, examples)
 # with warnings-as-errors, run the full test suite, then run the smoke
 # benches (capturing the parallel-replay curves as BENCH_fig10.json /
-# BENCH_fig13.json). Run from anywhere; exits nonzero on the first failure.
+# BENCH_fig13.json), then build the repository benchmark (perfbench/) in
+# <build>-perfbench, run its unit tests and a 2-second record_dense smoke
+# that must report "correct": true. Run from anywhere; exits nonzero on the
+# first failure.
 #
 #   ./scripts/check.sh                 # full gate
 #   BUILD_DIR=out ./scripts/check.sh   # custom build dir
@@ -47,6 +50,8 @@ esac
 # happy on bash < 4.4 (macOS ships 3.2).
 CMAKE_ARGS=(-DFLOR_WERROR=ON)
 SAN_ARGS=(-DFLOR_SANITIZE="${SANITIZE}")
+# The benchmark always builds Release, as perfbench/run.py does.
+PERF_ARGS=(-DCMAKE_BUILD_TYPE=Release)
 if [[ -n "${FLOR_BUILD_TYPE:-}" ]]; then
   CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE}")
   SAN_ARGS+=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE}")
@@ -54,6 +59,7 @@ fi
 if [[ "${FLOR_CCACHE:-0}" != "0" ]] && command -v ccache >/dev/null 2>&1; then
   CMAKE_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
   SAN_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
+  PERF_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
 
 echo "== test-seed audit =="
@@ -123,6 +129,29 @@ if [[ -n "${BENCH_BASELINE:-}" ]]; then
   done
 fi
 
+echo "== repository benchmark: build, tests, smoke (${BUILD_DIR}-perfbench) =="
+# perfbench/ compiles the flor sources from src/ into its own archive, so a
+# src/ change can break the benchmark's build or its correctness checks
+# without failing anything above.
+PERF_DIR="${BUILD_DIR}-perfbench"
+cmake -B "${PERF_DIR}" -S perfbench "${PERF_ARGS[@]}"
+cmake --build "${PERF_DIR}" -j "${JOBS}"
+ctest --test-dir "${PERF_DIR}" --output-on-failure --no-tests=error
+# Its last stdout line is the JSON result. Temporary files stay in the run
+# directory, as with perfbench/run.py.
+mkdir -p "${PERF_DIR}/run"
+SMOKE_TMP="$(cd "${PERF_DIR}/run" && pwd)"
+SMOKE_RESULT="$(TMPDIR="${SMOKE_TMP}" "${PERF_DIR}/florbench" \
+    --workload record_dense --seconds 2 --seed 1 \
+    --work-dir "${PERF_DIR}/run" | tail -n 1)"
+if ! python3 -c 'import json, sys
+sys.exit(json.loads(sys.argv[1])["correct"] is not True)' "${SMOKE_RESULT}"
+then
+  echo "error: florbench record_dense smoke is not correct: ${SMOKE_RESULT}" >&2
+  exit 1
+fi
+echo "florbench record_dense smoke: correct"
+
 if [[ "${SANITIZE}" == "thread" ]]; then
   echo "== ThreadSanitizer: concurrency + fork suites (${BUILD_DIR}-tsan) =="
   cmake -B "${BUILD_DIR}-tsan" -S . "${SAN_ARGS[@]}"
@@ -152,11 +181,12 @@ if [[ "${SANITIZE}" == "address,undefined" ]]; then
                  process_executor_test crash_consistency_test
   # The truncation/mutation fuzz suites of every decoder that reads
   # untrusted bytes — wire messages, worker result files, manifests,
-  # checkpoint and CRC frames — plus the fork-runner (`proc`) and
-  # wire-server (`server`) suites that feed those decoders real torn input.
+  # checkpoint and CRC frames, codec blobs — plus the fork-runner (`proc`)
+  # and wire-server (`server`) suites that feed those decoders real torn
+  # input.
   ctest --test-dir "${BUILD_DIR}-asan" --output-on-failure \
         --no-tests=error -j "${JOBS}" \
-        -R '^(WireTest|ResultFile|Manifest|Checkpoint|Frame|Coding)\.'
+        -R '^(WireTest|ResultFile|Manifest|Checkpoint|Frame|Coding|Compress)\.'
   ctest --test-dir "${BUILD_DIR}-asan" --output-on-failure \
         --no-tests=error -j "${JOBS}" -L 'proc|server'
 fi

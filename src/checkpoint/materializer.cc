@@ -1,6 +1,7 @@
 #include "checkpoint/materializer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -68,6 +69,12 @@ void Materializer::FlushGroupCommitSlot() {
 GroupCommitStats Materializer::group_commit_stats() const {
   std::lock_guard<std::mutex> lock(gc_mu_);
   return gc_stats_;
+}
+
+std::vector<std::pair<CheckpointKey, uint64_t>>
+Materializer::TakeBackgroundStoredBytes() {
+  std::lock_guard<std::mutex> lock(gc_mu_);
+  return std::exchange(bg_stored_, {});
 }
 
 std::pair<double, double> Materializer::AccountSim(uint64_t nominal_bytes,
@@ -202,6 +209,10 @@ Result<MaterializeReceipt> Materializer::Materialize(
           FLOR_LOG(kError) << "background materialization failed: "
                            << s.ToString();
         } else {
+          {
+            std::lock_guard<std::mutex> lock(gc_mu_);
+            bg_stored_.emplace_back(key_copy, bytes.size());
+          }
           NotifyDurable(key_copy, bytes.size());
         }
       });

@@ -115,7 +115,10 @@ struct MaterializeReceipt {
   double main_thread_seconds = 0;  ///< blocked training-thread time
   double stall_seconds = 0;        ///< part of main time due to backpressure
   double background_seconds = 0;   ///< bg serialize/write duration (Mi part)
-  uint64_t stored_bytes = 0;       ///< actual on-disk size
+  /// Actual on-disk size. 0 when the write was queued to the wall-clock
+  /// background worker: the job encodes after Materialize returns and
+  /// reports its size through TakeBackgroundStoredBytes().
+  uint64_t stored_bytes = 0;
   uint64_t raw_bytes = 0;          ///< actual snapshot size
 };
 
@@ -178,6 +181,11 @@ class Materializer {
   /// background notifications (internally locked).
   GroupCommitStats group_commit_stats() const;
 
+  /// (key, encoded size) of every checkpoint a background job stored since
+  /// the last call, in store order, which is Materialize call order. Call
+  /// after Drain() to complete the receipts of queued writes.
+  std::vector<std::pair<CheckpointKey, uint64_t>> TakeBackgroundStoredBytes();
+
   const MaterializerOptions& options() const { return options_; }
 
  private:
@@ -203,10 +211,12 @@ class Materializer {
   Env* env_;
   MaterializerOptions options_;
 
-  /// Open group-commit slot (keys + sizes in store order) and its stats.
+  /// Open group-commit slot (keys + sizes in store order) and its stats,
+  /// and the sizes background jobs stored since the last take.
   mutable std::mutex gc_mu_;
   std::vector<std::pair<CheckpointKey, uint64_t>> gc_slot_;
   GroupCommitStats gc_stats_;
+  std::vector<std::pair<CheckpointKey, uint64_t>> bg_stored_;
 
   // Sim-mode background ledger: completion times (seconds) of in-flight
   // jobs, and when the single background worker frees up.

@@ -42,7 +42,10 @@ struct CheckpointRecord {
   uint64_t raw_bytes = 0;         ///< uncompressed snapshot bytes (actual)
   uint64_t stored_bytes = 0;      ///< on-disk bytes (actual)
   uint64_t nominal_raw_bytes = 0; ///< profile-scaled raw size (sim)
-  double materialize_seconds = 0; ///< background serialize+write time
+  /// Background serialize+write time Mi, *modeled* on every path: the cost
+  /// model's time for the nominal size, also on the wall-clock background
+  /// worker, whose real time is not fed back.
+  double materialize_seconds = 0;
   int shard = 0;                  ///< shard prefix holding the object
 };
 

@@ -105,6 +105,16 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
   // The end-of-run join with background children counts toward runtime.
   materializer_->Drain();
   result.runtime_seconds = env_->clock()->NowSeconds() - start;
+  // Queued background writes learn their encoded size only after
+  // Materialize returned; fold it into their records (same order) before
+  // the manifest is written, so GC's retired_bytes counts real bytes.
+  std::vector<CheckpointRecord>& records = manifest_.records;
+  size_t r = 0;
+  for (const auto& [key, bytes] :
+       materializer_->TakeBackgroundStoredBytes()) {
+    while (r < records.size() && !(records[r].key == key)) ++r;
+    if (r < records.size()) records[r++].stored_bytes = bytes;
+  }
 
   // Spooling is a background tail (the paper's spooler outlives training):
   // drain it after the runtime measurement, so enabling it never shows up

@@ -1,5 +1,6 @@
 #include "serialize/compress.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -9,13 +10,17 @@ namespace flor {
 
 namespace {
 
+// No token of either codec expands to more than this many output bytes per
+// body byte (an LZ match: 3 bytes -> at most 259). A header claiming more
+// is torn, and is rejected before the output is allocated.
+constexpr uint64_t kMaxExpansion = 4 + 255;
+
 // --------------------------------------------------------------- RLE ----
 // Format: sequence of (control byte, payload). control < 0x80: literal run
 // of control+1 bytes follows. control >= 0x80: repeated run; one byte
 // follows, repeated (control - 0x80 + 2) times (min useful run is 2).
 
-std::string RleCompress(const std::string& in) {
-  std::string out;
+void RleCompress(const std::string& in, std::string* out) {
   size_t i = 0;
   const size_t n = in.size();
   while (i < n) {
@@ -23,8 +28,8 @@ std::string RleCompress(const std::string& in) {
     size_t run = 1;
     while (i + run < n && in[i + run] == in[i] && run < 129) ++run;
     if (run >= 2) {
-      out.push_back(static_cast<char>(0x80 + (run - 2)));
-      out.push_back(in[i]);
+      out->push_back(static_cast<char>(0x80 + (run - 2)));
+      out->push_back(in[i]);
       i += run;
       continue;
     }
@@ -39,31 +44,35 @@ std::string RleCompress(const std::string& in) {
       i += 1;
       lit_len += 1;
     }
-    out.push_back(static_cast<char>(lit_len - 1));
-    out.append(in, lit_start, lit_len);
+    out->push_back(static_cast<char>(lit_len - 1));
+    out->append(in, lit_start, lit_len);
   }
-  return out;
 }
 
-Status RleDecompress(const std::string& in, size_t expected, std::string* out) {
-  out->clear();
-  out->reserve(expected);
+/// Decodes into `out`, already sized to the expected output.
+Status RleDecompress(const char* in, size_t n, std::string* out) {
+  char* const dst = out->data();
+  const size_t expected = out->size();
+  size_t o = 0;
   size_t i = 0;
-  while (i < in.size()) {
+  while (i < n) {
     uint8_t control = static_cast<uint8_t>(in[i++]);
     if (control < 0x80) {
       size_t len = control + 1;
-      if (i + len > in.size()) return Status::Corruption("RLE literal overrun");
-      out->append(in, i, len);
+      if (len > n - i) return Status::Corruption("RLE literal overrun");
+      if (len > expected - o) return Status::Corruption("RLE size mismatch");
+      std::memcpy(dst + o, in + i, len);
       i += len;
+      o += len;
     } else {
-      if (i >= in.size()) return Status::Corruption("RLE run overrun");
+      if (i >= n) return Status::Corruption("RLE run overrun");
       size_t len = (control - 0x80) + 2;
-      out->append(len, in[i++]);
+      if (len > expected - o) return Status::Corruption("RLE size mismatch");
+      std::memset(dst + o, in[i++], len);
+      o += len;
     }
   }
-  if (out->size() != expected)
-    return Status::Corruption("RLE size mismatch");
+  if (o != expected) return Status::Corruption("RLE size mismatch");
   return Status::OK();
 }
 
@@ -76,6 +85,13 @@ constexpr size_t kWindow = 65536;
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxMatch = 4 + 255;
 constexpr size_t kHashBits = 15;
+constexpr int kMaxChain = 16;  // bounded chain walk keeps compression O(n)
+// Every kSkipStrength consecutive failed searches widen the stride by one
+// byte (the LZ4 "skip strength"); a match resets it.
+constexpr size_t kSkipStrength = 64;
+// Output written past the abort check: one flag byte plus a group of 8
+// literals, or one flag byte plus a match token.
+constexpr size_t kLzSlack = 16;
 
 inline uint32_t HashAt(const uint8_t* p) {
   uint32_t v;
@@ -83,156 +99,228 @@ inline uint32_t HashAt(const uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-std::string LzCompress(const std::string& in) {
+/// Length of the common prefix of `a` and `b`, at most `max_len`.
+inline size_t MatchLength(const uint8_t* a, const uint8_t* b,
+                          size_t max_len) {
+  size_t len = 0;
+  while (len + 8 <= max_len && std::memcmp(a + len, b + len, 8) == 0)
+    len += 8;
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
+}
+
+/// Appends the LZ body of `in` to `*out`. Returns false, leaving a partial
+/// body behind, as soon as the body reaches in.size() bytes: the output only
+/// grows, so from then on the blob is certain to be stored raw.
+///
+/// The hash table and its chain hold 32-bit (position + 1), 0 = empty.
+/// The chain is a ring over the last min(next_pow2(n), kWindow) positions:
+/// a candidate is followed only within the window, where its ring slot
+/// still holds its own link. Distances are taken mod 2^32 and a candidate
+/// outside [i - kWindow, i) ends the walk, so an entry aliased past 4 GiB
+/// can cost a comparison but never produce a wrong match.
+bool LzCompress(const std::string& in, std::string* out) {
   const auto* data = reinterpret_cast<const uint8_t*>(in.data());
   const size_t n = in.size();
-  std::string out;
-  out.reserve(n / 2 + 16);
+  if (n == 0) return false;
 
-  std::vector<int64_t> head(size_t{1} << kHashBits, -1);
-  std::vector<int64_t> prev(n, -1);
-
-  std::string group;          // pending bytes for the current flag group
-  uint8_t flags = 0;
-  int flag_count = 0;
-
-  auto flush_group = [&]() {
-    if (flag_count == 0) return;
-    out.push_back(static_cast<char>(flags));
-    out += group;
-    group.clear();
-    flags = 0;
-    flag_count = 0;
+  size_t ring = 1;
+  while (ring < n && ring < kWindow) ring <<= 1;
+  const size_t ring_mask = ring - 1;
+  std::vector<uint32_t> head(size_t{1} << kHashBits, 0);
+  std::vector<uint32_t> prev(ring, 0);
+  auto insert = [&](size_t pos) {
+    const uint32_t h = HashAt(data + pos);
+    prev[pos & ring_mask] = head[h];
+    head[h] = static_cast<uint32_t>(pos + 1);
   };
 
+  const size_t base = out->size();
+  out->resize(base + n + kLzSlack);
+  auto* const begin = reinterpret_cast<uint8_t*>(out->data() + base);
+  const uint8_t* const limit = begin + n;
+  uint8_t* op = begin;
+  // Flag byte of the open group; `bit` is the next item's flag bit, 0 when
+  // the group is full and the next item opens a new one.
+  uint8_t* flags = nullptr;
+  unsigned bit = 0;
+  auto open_item = [&]() {
+    if (bit == 0) {
+      flags = op++;
+      *flags = 0;
+      bit = 1;
+    }
+    const unsigned mine = bit;
+    bit = (bit << 1) & 0xffu;
+    return mine;
+  };
+  // Literals for in[from, to), whole groups of eight behind a zero flag
+  // byte where they fit.
+  auto emit_literals = [&](size_t from, size_t to) {
+    while (from < to && op < limit) {
+      if (bit == 0 && to - from >= 8) {
+        *op++ = 0;
+        std::memcpy(op, data + from, 8);
+        op += 8;
+        from += 8;
+      } else {
+        open_item();
+        *op++ = data[from++];
+      }
+    }
+  };
+
+  size_t misses = 0;
   size_t i = 0;
-  while (i < n) {
+  while (i < n && op < limit) {
     size_t best_len = 0;
     size_t best_off = 0;
     if (i + kMinMatch <= n) {
-      uint32_t h = HashAt(data + i);
-      int64_t cand = head[h];
-      int chain = 16;  // bounded chain walk keeps compression O(n)
-      while (cand >= 0 && chain-- > 0 &&
-             i - static_cast<size_t>(cand) <= kWindow) {
-        const size_t c = static_cast<size_t>(cand);
-        size_t len = 0;
-        const size_t max_len = std::min(kMaxMatch, n - i);
-        while (len < max_len && data[c + len] == data[i + len]) ++len;
+      const size_t max_len = std::min(kMaxMatch, n - i);
+      const size_t reach = std::min(kWindow, i);
+      uint32_t cand = head[HashAt(data + i)];
+      for (int chain = kMaxChain; chain > 0; --chain) {
+        const size_t dist =
+            static_cast<uint32_t>(static_cast<uint32_t>(i + 1) - cand);
+        if (dist == 0 || dist > reach) break;
+        const size_t c = i - dist;
+        const size_t len = MatchLength(data + c, data + i, max_len);
         if (len > best_len) {
           best_len = len;
-          best_off = i - c;
+          best_off = dist;
           if (len == max_len) break;
         }
-        cand = prev[c];
+        cand = prev[c & ring_mask];
       }
     }
 
     if (best_len >= kMinMatch) {
-      flags |= static_cast<uint8_t>(1u << flag_count);
-      uint16_t off = static_cast<uint16_t>(best_off - 1);
-      group.push_back(static_cast<char>(off & 0xff));
-      group.push_back(static_cast<char>(off >> 8));
-      group.push_back(static_cast<char>(best_len - kMinMatch));
+      const unsigned match_bit = open_item();
+      *flags |= static_cast<uint8_t>(match_bit);
+      const size_t off = best_off - 1;
+      op[0] = static_cast<uint8_t>(off & 0xff);
+      op[1] = static_cast<uint8_t>(off >> 8);
+      op[2] = static_cast<uint8_t>(best_len - kMinMatch);
+      op += 3;
       // Insert hash entries for the covered positions.
       const size_t end = std::min(i + best_len, n >= 3 ? n - 3 : 0);
-      for (size_t j = i; j < end; ++j) {
-        uint32_t h = HashAt(data + j);
-        prev[j] = head[h];
-        head[h] = static_cast<int64_t>(j);
-      }
+      for (size_t j = i; j < end; ++j) insert(j);
       i += best_len;
+      misses = 0;
     } else {
-      if (i + 4 <= n) {
-        uint32_t h = HashAt(data + i);
-        prev[i] = head[h];
-        head[h] = static_cast<int64_t>(i);
-      }
-      group.push_back(static_cast<char>(data[i]));
-      i += 1;
+      // A miss: emit in[i], plus one more unsearched, unhashed literal per
+      // kSkipStrength misses in a row.
+      if (i + kMinMatch <= n) insert(i);
+      const size_t next = std::min(i + 1 + misses++ / kSkipStrength, n);
+      emit_literals(i, next);
+      i = next;
     }
-    if (++flag_count == 8) flush_group();
   }
-  flush_group();
-  return out;
+  if (op >= limit) return false;
+  out->resize(base + static_cast<size_t>(op - begin));
+  return true;
 }
 
-Status LzDecompress(const std::string& in, size_t expected, std::string* out) {
-  out->clear();
-  out->reserve(expected);
+/// Decodes into `out`, already sized to the expected output.
+Status LzDecompress(const char* in, size_t n, std::string* out) {
+  char* const dst = out->data();
+  const size_t expected = out->size();
+  size_t o = 0;
   size_t i = 0;
-  const size_t n = in.size();
   while (i < n) {
     uint8_t flags = static_cast<uint8_t>(in[i++]);
+    if (flags == 0 && n - i >= 8 && expected - o >= 8) {
+      std::memcpy(dst + o, in + i, 8);  // a whole group of literals
+      i += 8;
+      o += 8;
+      continue;
+    }
     for (int b = 0; b < 8 && i < n; ++b) {
       if (flags & (1u << b)) {
         if (i + 3 > n) return Status::Corruption("LZ match token truncated");
-        uint16_t off_m1 = static_cast<uint8_t>(in[i]) |
-                          (static_cast<uint16_t>(static_cast<uint8_t>(in[i + 1]))
-                           << 8);
-        size_t len = static_cast<uint8_t>(in[i + 2]) + kMinMatch;
+        const size_t off =
+            static_cast<size_t>(static_cast<uint8_t>(in[i]) |
+                                static_cast<uint8_t>(in[i + 1]) << 8) +
+            1;
+        const size_t len = static_cast<uint8_t>(in[i + 2]) + kMinMatch;
         i += 3;
-        size_t off = static_cast<size_t>(off_m1) + 1;
-        if (off > out->size())
+        if (off > o)
           return Status::Corruption("LZ match offset beyond output");
-        size_t src = out->size() - off;
-        for (size_t k = 0; k < len; ++k) out->push_back((*out)[src + k]);
+        if (len > expected - o) return Status::Corruption("LZ size mismatch");
+        char* const d = dst + o;
+        const char* const s = d - off;
+        if (off >= len) {
+          std::memcpy(d, s, len);
+        } else if (off == 1) {
+          std::memset(d, *s, len);
+        } else {
+          for (size_t k = 0; k < len; ++k) d[k] = s[k];  // overlapping copy
+        }
+        o += len;
       } else {
-        out->push_back(in[i++]);
+        if (o == expected) return Status::Corruption("LZ size mismatch");
+        dst[o++] = in[i++];
       }
     }
   }
-  if (out->size() != expected) return Status::Corruption("LZ size mismatch");
+  if (o != expected) return Status::Corruption("LZ size mismatch");
   return Status::OK();
 }
 
 }  // namespace
 
 std::string Compress(const std::string& input, Codec codec) {
-  std::string body;
-  Codec used = codec;
+  std::string out;
+  // Codec byte, varint size (at most 10 bytes), body or raw input, and the
+  // LZ encoder's write slack: the one allocation either outcome needs.
+  out.reserve(1 + 10 + input.size() + kLzSlack);
+  out.push_back(static_cast<char>(codec));
+  PutVarint64(&out, input.size());
+  const size_t header = out.size();
+  bool packed = false;
   switch (codec) {
     case Codec::kNone:
-      body = input;
       break;
     case Codec::kRle:
-      body = RleCompress(input);
+      RleCompress(input, &out);
+      packed = out.size() - header < input.size();
       break;
     case Codec::kLz:
-      body = LzCompress(input);
+      packed = LzCompress(input, &out);
       break;
   }
-  if (used != Codec::kNone && body.size() >= input.size()) {
-    used = Codec::kNone;  // compression did not help; store raw
-    body = input;
+  if (!packed) {
+    // Compression did not help (or was not asked for): store raw.
+    out.resize(header);
+    out[0] = static_cast<char>(Codec::kNone);
+    out += input;
   }
-  std::string out;
-  out.push_back(static_cast<char>(used));
-  PutVarint64(&out, input.size());
-  out += body;
   return out;
 }
 
 Result<std::string> Decompress(const std::string& input) {
   if (input.empty()) return Status::Corruption("empty compressed blob");
-  Codec codec = static_cast<Codec>(input[0]);
+  const Codec codec = static_cast<Codec>(input[0]);
   Decoder dec(input.data() + 1, input.size() - 1);
-  uint64_t expected;
+  uint64_t expected = 0;
   FLOR_RETURN_IF_ERROR(dec.GetVarint64(&expected));
-  std::string body(input.data() + (input.size() - dec.remaining()),
-                   dec.remaining());
-  std::string out;
+  const size_t body_len = dec.remaining();
+  const char* const body = input.data() + (input.size() - body_len);
   switch (codec) {
     case Codec::kNone:
-      if (body.size() != expected)
+      if (body_len != expected)
         return Status::Corruption("raw blob size mismatch");
-      return body;
+      return std::string(body, body_len);
     case Codec::kRle:
-      FLOR_RETURN_IF_ERROR(RleDecompress(body, expected, &out));
+    case Codec::kLz: {
+      if (expected > body_len * kMaxExpansion)
+        return Status::Corruption("size exceeds what the body can encode");
+      std::string out(static_cast<size_t>(expected), '\0');
+      FLOR_RETURN_IF_ERROR(codec == Codec::kRle
+                               ? RleDecompress(body, body_len, &out)
+                               : LzDecompress(body, body_len, &out));
       return out;
-    case Codec::kLz:
-      FLOR_RETURN_IF_ERROR(LzDecompress(body, expected, &out));
-      return out;
+    }
   }
   return Status::Corruption("unknown codec byte");
 }

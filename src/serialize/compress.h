@@ -8,6 +8,17 @@
 //   * kLz   — LZSS-style Lempel-Ziv with a 64 KiB window and a chained hash
 //             table; the gzip stand-in used for Table 4 sizes.
 // The codec byte is stored with the block, so readers self-describe.
+//
+// The LZ encoder's cost follows the matches it finds. After a streak of
+// failed searches it accelerates: every 64 misses in a row widen the stride
+// by one byte (the LZ4 "skip strength"), and the bytes stepped over go out
+// as literals without being searched or hashed; any match resets the
+// streak. Dense float weights, where matches are rare, so cost little more
+// than a copy, while zero and constant regions of the same blob still
+// compress, because the decision is made region by region. The encoder
+// stops as soon as its output reaches the input size, since the blob is
+// then certain to be stored raw. The hash chain is a ring over the last
+// min(next_pow2(n), 64 KiB) positions, so small blobs allocate little.
 
 #ifndef FLOR_SERIALIZE_COMPRESS_H_
 #define FLOR_SERIALIZE_COMPRESS_H_

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/crc32.h"
 #include "common/random.h"
 #include "serialize/coding.h"
 #include "serialize/compress.h"
@@ -216,6 +219,112 @@ TEST(Compress, IncompressibleFallsBackToRaw) {
   ASSERT_TRUE(codec.ok());
   EXPECT_EQ(*codec, Codec::kNone);  // stored raw, never inflated
   EXPECT_LE(packed.size(), input.size() + 16);
+}
+
+/// `floats` Gaussian float32 values: dense weights, where LZ finds almost
+/// no matches.
+std::string GaussianFloatBytes(size_t floats, uint64_t salt) {
+  Rng rng = testutil::SeededRng(salt);
+  std::string out(floats * sizeof(float), 0);
+  for (size_t i = 0; i < floats; ++i) {
+    const float f = static_cast<float>(rng.NextGaussian());
+    std::memcpy(&out[i * sizeof(float)], &f, sizeof(float));
+  }
+  return out;
+}
+
+std::string FromHex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  return out;
+}
+
+TEST(Compress, MixedDenseAndZeroRegionsCompressPerRegion) {
+  // Dense weights first, so the encoder reaches the zeros with its stride
+  // already widened by the miss streak; the zero block must still compress.
+  const std::string input =
+      GaussianFloatBytes(size_t{1} << 16, 11) + std::string(1 << 18, '\0');
+  const std::string packed = Compress(input, Codec::kLz);
+  auto codec = PeekCodec(packed);
+  ASSERT_TRUE(codec.ok());
+  EXPECT_EQ(*codec, Codec::kLz);
+  EXPECT_LT(static_cast<double>(packed.size()) /
+                static_cast<double>(input.size()),
+            0.6);
+  auto out = Decompress(packed);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(*out, input);
+}
+
+TEST(Compress, DenseGaussianFallsBackToRaw) {
+  const std::string input = GaussianFloatBytes(size_t{1} << 20, 12);  // 4 MiB
+  const std::string packed = Compress(input, Codec::kLz);
+  auto codec = PeekCodec(packed);
+  ASSERT_TRUE(codec.ok());
+  EXPECT_EQ(*codec, Codec::kNone);
+  EXPECT_LE(packed.size(), input.size() + 16);
+  auto out = Decompress(packed);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(*out, input);
+}
+
+TEST(Compress, EarlierEncoderBlobStillDecodes) {
+  // Encoded by the LZ encoder before miss-streak skipping and the ring
+  // chain table: blobs already on disk must stay readable, and this input
+  // (no miss streak) still encodes to the same bytes.
+  const std::string input =
+      "flor flor flor: hindsight logging, hindsight logging for model "
+      "training!" +
+      std::string(40, '\0') + "abcabcabcabcabc";
+  const std::string golden = FromHex(
+      "027f20666c6f72200400053a200068696e64736967680074206c6f6767696e04672c"
+      "12000e20666f7220006d6f64656c2074720061696e696e6721001100002361626302"
+      "0008");
+  auto out = Decompress(golden);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(*out, input);
+  EXPECT_EQ(Compress(input, Codec::kLz), golden);
+}
+
+TEST(Compress, RunHeavyEncodingIsPinned) {
+  // Run-heavy data never builds a 64-miss streak, so the skip never fires
+  // and the encoding equals the earlier encoder's, pinned by size and
+  // CRC32C at the default test seed.
+  if (testutil::TestSeed() != 42) GTEST_SKIP() << "pinned at seed 42";
+  const std::string packed =
+      Compress(CompressibleBytes(1 << 16, 3), Codec::kLz);
+  EXPECT_EQ(packed.size(), 6007u);
+  EXPECT_EQ(Crc32c(packed.data(), packed.size()), 0x29ae5a39u);
+}
+
+TEST(Compress, TornBlobsAreCorruptionNotCrashes) {
+  const std::string input =
+      CompressibleBytes(4096, 13) + GaussianFloatBytes(256, 14);
+  for (Codec codec : {Codec::kRle, Codec::kLz}) {
+    const std::string packed = Compress(input, codec);
+    for (size_t cut = 0; cut < packed.size(); ++cut) {
+      EXPECT_FALSE(Decompress(packed.substr(0, cut)).ok()) << "cut=" << cut;
+    }
+    Rng rng = testutil::SeededRng(15);
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::string torn = packed;
+      torn[rng.Uniform(torn.size())] ^=
+          static_cast<char>(1 + rng.Uniform(255));
+      auto out = Decompress(torn);  // ok or Corruption; never a crash
+      if (!out.ok()) {
+        EXPECT_TRUE(out.status().IsCorruption());
+      }
+    }
+  }
+  // A header claiming far more output than the body can encode is
+  // rejected before anything is allocated.
+  std::string huge;
+  huge.push_back(static_cast<char>(Codec::kLz));
+  PutVarint64(&huge, uint64_t{1} << 60);
+  huge.push_back('\0');
+  huge.append("abcdefgh");
+  EXPECT_TRUE(Decompress(huge).status().IsCorruption());
 }
 
 TEST(Compress, MalformedInputRejected) {

@@ -334,9 +334,18 @@ TEST(SpoolQueue, RecordSessionSpoolsAsYouMaterializesOnWallClock) {
     ASSERT_TRUE(local_data.ok()) << local;
     ASSERT_TRUE(bucket_data.ok()) << "s3/" << local;
     EXPECT_EQ(*bucket_data, *local_data) << local;
+    // The queued job's encoded size reaches the manifest record, so GC's
+    // retired_bytes counts what is really on disk.
+    EXPECT_EQ(rec.stored_bytes, local_data->size()) << local;
   }
   EXPECT_EQ(fs.TotalBytesUnder("s3/run/ckpt/"),
             fs.TotalBytesUnder("run/ckpt/"));
+  // The persisted manifest carries the same sizes.
+  auto manifest_bytes = fs.ReadFile(RunPaths("run").Manifest());
+  ASSERT_TRUE(manifest_bytes.ok());
+  auto manifest = Manifest::Deserialize(*manifest_bytes);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->TotalStoredBytes(), fs.TotalBytesUnder("run/ckpt/"));
 }
 
 TEST(BackgroundQueue, WaitUntilInFlightBelowBoundsProducers) {
