@@ -120,15 +120,23 @@ int main() {
       FLOR_CHECK(instance.ok()) << instance.status().ToString();
       RecordOptions opts =
           workloads::DefaultRecordOptions(frontier_profile, "run");
-      opts.spool_prefix = "s3";     // bucket mirror, spooled as materialized
-      opts.gc.keep_last_k = local_k;  // end-of-run demotion
+      SpoolQueue spool(&fs, opts.ckpt_shards);
+      opts.spool_prefix = "s3";  // bucket mirror, spooled as materialized
+      opts.spool = &spool;
       RecordSession session(&env, opts);
       exec::Frame frame;
       auto recorded = session.Run(instance->program.get(), &frame);
       FLOR_CHECK(recorded.ok()) << recorded.status().ToString();
 
+      // End-of-run demotion (the bucket tier is attached).
+      GcPolicy policy;
+      policy.keep_last_k = local_k;
+      auto demoted =
+          RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy, "s3");
+      FLOR_CHECK(demoted.ok()) << demoted.status().ToString();
+
       if (bucket_k > 0) {
-        BucketGcPolicy bpolicy;
+        GcPolicy bpolicy;
         bpolicy.keep_last_k = bucket_k;
         auto pruned = RetireBucketRun(&fs, "run/manifest.tsv", "run/ckpt",
                                       "s3", bpolicy);

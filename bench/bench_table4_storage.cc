@@ -14,10 +14,10 @@
 // cost exactly (sharding moves objects, never changes them), and every
 // sweep point must land the same bytes in the bucket.
 //
-// A second sweep exercises the automatic end-to-end lifecycle (rows with
-// stage: "record+spool+gc"): RecordSession itself spools each checkpoint
-// as the materializer lands it and retires old epochs keep-last-K per
-// shard — no bench-side spool or GC calls. Invariants checked per point:
+// A second sweep exercises the end-to-end lifecycle (rows with stage:
+// "record+spool+gc"): RecordSession spools each checkpoint through the
+// bench's SpoolQueue as the materializer lands it, then RetireRun retires
+// old epochs keep-last-K per shard. Invariants checked per point:
 // the spooled bucket holds every materialized checkpoint (it is the
 // durable archive), retirement leaves at most K epochs per loop locally,
 // and the K=0 / shard-1 point leaves the run byte-identical to a plain
@@ -132,11 +132,10 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // Lifecycle sweep: record + spool-as-you-materialize + keep-last-K GC,
-  // all driven by RecordSession.
+  // Lifecycle sweep: record + spool-as-you-materialize (RecordSession),
+  // then keep-last-K GC (RetireRun).
   // ------------------------------------------------------------------
-  std::printf("\nBackground lifecycle sweep (record+spool+gc, automatic):"
-              "\n\n");
+  std::printf("\nBackground lifecycle sweep (record+spool+gc):\n\n");
   std::printf("%-5s %7s %7s %7s %9s %9s %9s %12s\n", "Name", "shards",
               "keepK", "ckpts", "spooled", "demoted", "local", "record");
   bench::Hr();
@@ -171,18 +170,23 @@ int main() {
         FLOR_CHECK(instance.ok()) << instance.status().ToString();
         RecordOptions opts =
             workloads::DefaultRecordOptions(profile, "run");
+        SpoolQueue spool(&fs, opts.ckpt_shards);
         opts.spool_prefix = "s3";
-        opts.gc.keep_last_k = keep_k;
+        opts.spool = &spool;
+        GcPolicy policy;
+        policy.keep_last_k = keep_k;
 
         const auto start = std::chrono::steady_clock::now();
         RecordSession session(&env, opts);
         exec::Frame frame;
         auto result = session.Run(instance->program.get(), &frame);
+        FLOR_CHECK(result.ok()) << result.status().ToString();
+        auto gc = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy, "s3");
         const double seconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
                 .count();
-        FLOR_CHECK(result.ok()) << result.status().ToString();
+        FLOR_CHECK(gc.ok()) << gc.status().ToString();
 
         // The pipeline was automatic: every materialized checkpoint is in
         // the bucket (the durable archive), and — because the spool mirror
@@ -192,7 +196,7 @@ int main() {
         const int64_t materialized =
             static_cast<int64_t>(result->manifest.records.size());
         const int64_t local_objects =
-            materialized - result->gc_report.retired_objects();
+            materialized - gc->retired_objects();
         FLOR_CHECK(result->spool_report.ok())
             << result->spool_report.first_error;
         FLOR_CHECK_EQ(result->spool_report.objects, materialized);
@@ -205,7 +209,7 @@ int main() {
 
         if (keep_k == 0) {
           // Retention disabled: a guaranteed no-op.
-          FLOR_CHECK_EQ(result->gc_report.retired_objects(), 0);
+          FLOR_CHECK_EQ(gc->retired_objects(), 0);
           if (shards == 1) {
             // And at shard 1 the local run output is byte-identical to a
             // plain record without the lifecycle.
@@ -219,8 +223,8 @@ int main() {
         } else {
           // Demotion held keep-last-K *locally*: at most K epochs per
           // loop still have a local object; the rest are bucket-only.
-          FLOR_CHECK(result->gc_report.demoted_to_bucket);
-          FLOR_CHECK_EQ(result->gc_report.skipped_unspooled(), 0);
+          FLOR_CHECK(gc->demoted_to_bucket);
+          FLOR_CHECK_EQ(gc->skipped_unspooled(), 0);
           CheckpointStore local_store(&fs, "run/ckpt",
                                       result->manifest.shard_count);
           std::map<int32_t, std::set<int64_t>> local_epochs;
@@ -242,7 +246,7 @@ int main() {
             .Field("checkpoints", materialized)
             .Field("spooled_objects", result->spool_report.objects)
             .Field("spool_batches", result->spool_report.batches)
-            .Field("demoted_objects", result->gc_report.retired_objects())
+            .Field("demoted_objects", gc->retired_objects())
             .Field("local_objects", local_objects)
             .Field("seconds", seconds);
 
@@ -252,7 +256,7 @@ int main() {
                     static_cast<long long>(materialized),
                     static_cast<long long>(result->spool_report.objects),
                     static_cast<long long>(
-                        result->gc_report.retired_objects()),
+                        gc->retired_objects()),
                     static_cast<long long>(local_objects),
                     HumanSeconds(seconds).c_str());
       }

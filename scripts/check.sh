@@ -76,16 +76,25 @@ fi
 echo "== service-layer construction lint =="
 # The Connection/Session front-end owns store and spooler construction:
 # CheckpointStore::Open is the one sanctioned way to build a store, and the
-# only SpoolQueue constructions live in the service layer, the record
-# session (private per-run spooler), and the spool subsystem itself.
-# Direct construction anywhere else bypasses the connection's tier
-# configuration (bucket + bloom) and its shared-spooler accounting.
-LINT_ALLOW='src/checkpoint/store\.(h|cc)|src/checkpoint/spool\.(h|cc)|src/service/connection\.cc|src/flor/record\.cc'
+# only SpoolQueue constructions live in the service layer (the connection's
+# shared spooler) and the spool subsystem itself — a record session spools
+# through a caller-owned queue. Direct construction anywhere else bypasses
+# the connection's tier configuration (bucket + bloom) and its
+# shared-spooler accounting.
+LINT_ALLOW='src/checkpoint/store\.(h|cc)|src/checkpoint/spool\.(h|cc)|src/service/connection\.cc'
 if grep -rnE 'make_unique<CheckpointStore>|new CheckpointStore|CheckpointStore [a-z_]+\(|make_unique<SpoolQueue>|new SpoolQueue|SpoolQueue [a-z_]+\(' \
         src/ | grep -vE "^(${LINT_ALLOW}):"; then
   echo "error: direct CheckpointStore/SpoolQueue construction outside the" >&2
   echo "service layer — open stores via CheckpointStore::Open (tier-aware)" >&2
   echo "or go through flor::Connection (src/service/service.h)" >&2
+  exit 1
+fi
+# One manifest reader: every manifest read goes through ReadManifest
+# (src/checkpoint/store.cc), so Manifest::Deserialize is called nowhere
+# else in src/.
+if grep -rn 'Manifest::Deserialize(' src/ | grep -v '^src/checkpoint/store\.cc:'; then
+  echo "error: Manifest::Deserialize outside src/checkpoint/store.cc —" >&2
+  echo "read manifests through ReadManifest (src/checkpoint/store.h)" >&2
   exit 1
 fi
 

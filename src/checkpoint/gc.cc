@@ -60,23 +60,73 @@ std::vector<size_t> PlanRetirement(const Manifest& manifest,
   return retire;
 }
 
-Result<GcReport> RetireCheckpoints(CheckpointStore* store,
-                                   Manifest* manifest,
-                                   const std::string& manifest_path,
-                                   const GcPolicy& policy) {
+namespace {
+
+/// The three retirement passes. They share one routine and differ only in
+/// whether the manifest is pruned and in how one retired record is deleted.
+enum class RetireMode {
+  kPrune,   ///< no bucket tier: drop the record, delete the local object
+  kDemote,  ///< bucket tier: keep the record, delete the local copy only
+  kBucket,  ///< final tier: drop the record, delete both copies
+};
+
+/// How one retired record's delete ended.
+enum class DeleteOutcome { kRetired, kAlreadyAbsent, kFailed, kUnspooled };
+
+DeleteOutcome Classify(const Status& s) {
+  if (s.ok()) return DeleteOutcome::kRetired;
+  return s.IsNotFound() ? DeleteOutcome::kAlreadyAbsent
+                        : DeleteOutcome::kFailed;
+}
+
+/// Deletes one retired record's object(s) through its shard's writer lock.
+DeleteOutcome DeleteRetired(CheckpointStore* store,
+                            const CheckpointRecord& rec, RetireMode mode) {
+  switch (mode) {
+    case RetireMode::kPrune:
+      return Classify(store->DeleteObject(rec.key));
+    case RetireMode::kDemote:
+      // Demotion never makes a record unreadable: an object the bucket
+      // does not hold (unspooled, or the spool failed) keeps its local copy.
+      if (!store->fs()->Exists(store->BucketPathFor(rec.key)))
+        return DeleteOutcome::kUnspooled;
+      return Classify(store->DeleteObject(rec.key));
+    case RetireMode::kBucket: {
+      // Reclaim both tiers: the bucket object and any local copy demotion
+      // has not yet removed. A hard failure on either leaks an orphan for
+      // the reconciliation sweep; both already gone means a prior pass (or
+      // crash) got here first.
+      const DeleteOutcome bucket = Classify(
+          store->DeleteShardPath(rec.shard, store->BucketPathFor(rec.key)));
+      const DeleteOutcome local = Classify(store->DeleteObject(rec.key));
+      if (bucket == DeleteOutcome::kFailed || local == DeleteOutcome::kFailed)
+        return DeleteOutcome::kFailed;
+      if (bucket == DeleteOutcome::kAlreadyAbsent &&
+          local == DeleteOutcome::kAlreadyAbsent)
+        return DeleteOutcome::kAlreadyAbsent;
+      return DeleteOutcome::kRetired;
+    }
+  }
+  return DeleteOutcome::kFailed;
+}
+
+/// plan → group by shard → (prune + persist the manifest FIRST) → per-shard
+/// delete-and-classify. Planning is manifest-only (the store is never
+/// listed or scanned). Once the pruned manifest lands in one atomic write,
+/// no replay plan can reference a retired record; if the persist fails, the
+/// in-memory manifest is restored and nothing is deleted. Delete failures
+/// leak orphans (the manifest already dropped the record) — reported, never
+/// fatal.
+Result<GcReport> Retire(CheckpointStore* store, Manifest* manifest,
+                        const std::string& manifest_path,
+                        const GcPolicy& policy, RetireMode mode) {
   GcReport report;
   report.shards.resize(static_cast<size_t>(store->num_shards()));
-
+  report.surviving_records = static_cast<int64_t>(manifest->records.size());
   const std::vector<size_t> retire = PlanRetirement(*manifest, policy);
-  if (retire.empty()) {
-    // Guaranteed no-op: no manifest rewrite, no deletes, store untouched.
-    report.surviving_records =
-        static_cast<int64_t>(manifest->records.size());
-    return report;
-  }
+  // Guaranteed no-op: no manifest rewrite, no deletes, store untouched.
+  if (retire.empty()) return report;
 
-  // Group the retire set by shard up front (planning is manifest-only; the
-  // store is never listed or scanned).
   std::vector<std::vector<CheckpointRecord>> by_shard(
       static_cast<size_t>(store->num_shards()));
   for (size_t idx : retire) {
@@ -84,152 +134,84 @@ Result<GcReport> RetireCheckpoints(CheckpointStore* store,
     by_shard[static_cast<size_t>(rec.shard)].push_back(rec);
   }
 
-  if (store->has_bucket()) {
-    // Demotion: the bucket mirror keeps every retired record readable, so
-    // the manifest stays intact and only local copies are reclaimed.
-    // Objects the bucket does not hold (unspooled, or the spool failed)
-    // are skipped — demotion never makes a record unreadable.
+  if (mode == RetireMode::kDemote) {
+    // The bucket mirror keeps every retired record readable, so the
+    // manifest stays intact and only local copies are reclaimed.
     report.demoted_to_bucket = true;
-    report.surviving_records =
-        static_cast<int64_t>(manifest->records.size());
-    for (int shard = 0; shard < store->num_shards(); ++shard) {
-      GcShardStats& stats = report.shards[static_cast<size_t>(shard)];
-      for (const CheckpointRecord& rec :
-           by_shard[static_cast<size_t>(shard)]) {
-        if (!store->fs()->Exists(store->BucketPathFor(rec.key))) {
-          ++stats.skipped_unspooled;
-          continue;
-        }
-        Status s = store->DeleteObject(rec.key);
-        if (s.ok()) {
-          ++stats.retired_objects;
-          stats.retired_bytes += rec.stored_bytes;
-        } else if (s.IsNotFound()) {
-          ++stats.already_absent;
-        } else {
-          ++stats.failed_deletes;
-        }
-      }
-    }
-    return report;
-  }
-
-  // Prune the manifest and persist it FIRST: from this atomic write on, no
-  // replay plan can reference a retired epoch. If the persist fails, the
-  // in-memory manifest is restored and nothing is deleted.
-  std::vector<CheckpointRecord> pruned;
-  pruned.reserve(manifest->records.size() - retire.size());
-  {
-    std::set<size_t> retire_set(retire.begin(), retire.end());
+  } else {
+    std::vector<CheckpointRecord> pruned;
+    pruned.reserve(manifest->records.size() - retire.size());
+    const std::set<size_t> retire_set(retire.begin(), retire.end());
     for (size_t i = 0; i < manifest->records.size(); ++i) {
       if (!retire_set.count(i)) pruned.push_back(manifest->records[i]);
     }
+    std::vector<CheckpointRecord> original = std::move(manifest->records);
+    manifest->records = std::move(pruned);
+    Status persisted =
+        store->fs()->WriteFile(manifest_path, manifest->Serialize());
+    if (!persisted.ok()) {
+      manifest->records = std::move(original);
+      return persisted;
+    }
+    report.manifest_rewritten = true;
+    report.surviving_records = static_cast<int64_t>(manifest->records.size());
   }
-  std::vector<CheckpointRecord> original = std::move(manifest->records);
-  manifest->records = std::move(pruned);
-  Status persisted =
-      store->fs()->WriteFile(manifest_path, manifest->Serialize());
-  if (!persisted.ok()) {
-    manifest->records = std::move(original);
-    return persisted;
-  }
-  report.manifest_rewritten = true;
-  report.surviving_records = static_cast<int64_t>(manifest->records.size());
 
-  // Delete the retired objects shard by shard. Each delete goes through
-  // the shard's writer lock, so a concurrent materializer on another shard
-  // never contends with retirement here. Failures leak an orphan (the
-  // manifest already dropped the record) — reported, never fatal.
+  // Shard by shard: each delete takes only its shard's writer lock, so a
+  // materializer on another shard never contends with retirement.
   for (int shard = 0; shard < store->num_shards(); ++shard) {
     GcShardStats& stats = report.shards[static_cast<size_t>(shard)];
     for (const CheckpointRecord& rec : by_shard[static_cast<size_t>(shard)]) {
-      Status s = store->DeleteObject(rec.key);
-      if (s.ok()) {
-        ++stats.retired_objects;
-        stats.retired_bytes += rec.stored_bytes;
-      } else if (s.IsNotFound()) {
-        ++stats.already_absent;
-      } else {
-        ++stats.failed_deletes;
+      switch (DeleteRetired(store, rec, mode)) {
+        case DeleteOutcome::kRetired:
+          ++stats.retired_objects;
+          stats.retired_bytes += rec.stored_bytes;
+          break;
+        case DeleteOutcome::kAlreadyAbsent:
+          ++stats.already_absent;
+          break;
+        case DeleteOutcome::kFailed:
+          ++stats.failed_deletes;
+          break;
+        case DeleteOutcome::kUnspooled:
+          ++stats.skipped_unspooled;
+          break;
       }
     }
   }
   return report;
 }
 
+/// Opens the run's store over its manifest, attaching `bucket_prefix` as
+/// the bucket tier when non-empty.
+Result<OpenedRun> OpenForGc(FileSystem* fs, const std::string& manifest_path,
+                            const std::string& ckpt_prefix,
+                            const std::string& bucket_prefix) {
+  TierOptions tier;
+  tier.bucket_prefix = bucket_prefix;
+  return OpenRun(fs, manifest_path, ckpt_prefix, tier);
+}
+
+}  // namespace
+
+Result<GcReport> RetireCheckpoints(CheckpointStore* store,
+                                   Manifest* manifest,
+                                   const std::string& manifest_path,
+                                   const GcPolicy& policy) {
+  return Retire(store, manifest, manifest_path, policy,
+                store->has_bucket() ? RetireMode::kDemote
+                                    : RetireMode::kPrune);
+}
+
 Result<GcReport> RetireBucketCheckpoints(CheckpointStore* store,
                                          Manifest* manifest,
                                          const std::string& manifest_path,
-                                         const BucketGcPolicy& policy) {
+                                         const GcPolicy& policy) {
   if (!store->has_bucket()) {
     return Status::InvalidArgument(
         "bucket retirement requires a store with a bucket tier attached");
   }
-  GcReport report;
-  report.shards.resize(static_cast<size_t>(store->num_shards()));
-
-  GcPolicy local_shape;
-  local_shape.keep_last_k = policy.keep_last_k;
-  local_shape.pinned_epochs = policy.pinned_epochs;
-  const std::vector<size_t> retire = PlanRetirement(*manifest, local_shape);
-  if (retire.empty()) {
-    report.surviving_records =
-        static_cast<int64_t>(manifest->records.size());
-    return report;
-  }
-
-  std::vector<std::vector<CheckpointRecord>> by_shard(
-      static_cast<size_t>(store->num_shards()));
-  for (size_t idx : retire) {
-    const CheckpointRecord& rec = manifest->records[idx];
-    by_shard[static_cast<size_t>(rec.shard)].push_back(rec);
-  }
-
-  // Same ordering contract as the local tier: the pruned manifest lands
-  // first (one atomic WriteFile), deletes follow. A crash mid-delete
-  // leaves orphans in either tier, never a dangling record.
-  std::vector<CheckpointRecord> pruned;
-  pruned.reserve(manifest->records.size() - retire.size());
-  {
-    std::set<size_t> retire_set(retire.begin(), retire.end());
-    for (size_t i = 0; i < manifest->records.size(); ++i) {
-      if (!retire_set.count(i)) pruned.push_back(manifest->records[i]);
-    }
-  }
-  std::vector<CheckpointRecord> original = std::move(manifest->records);
-  manifest->records = std::move(pruned);
-  Status persisted =
-      store->fs()->WriteFile(manifest_path, manifest->Serialize());
-  if (!persisted.ok()) {
-    manifest->records = std::move(original);
-    return persisted;
-  }
-  report.manifest_rewritten = true;
-  report.surviving_records = static_cast<int64_t>(manifest->records.size());
-
-  // Per record, reclaim both tiers: the bucket object and any local copy
-  // demotion has not yet removed. A hard failure on either tier leaks an
-  // orphan for the reconciliation sweep; both tiers already gone means a
-  // prior pass (or crash) got here first.
-  for (int shard = 0; shard < store->num_shards(); ++shard) {
-    GcShardStats& stats = report.shards[static_cast<size_t>(shard)];
-    for (const CheckpointRecord& rec :
-         by_shard[static_cast<size_t>(shard)]) {
-      Status bucket =
-          store->DeleteShardPath(rec.shard, store->BucketPathFor(rec.key));
-      Status local = store->DeleteObject(rec.key);
-      if ((!bucket.ok() && !bucket.IsNotFound()) ||
-          (!local.ok() && !local.IsNotFound())) {
-        ++stats.failed_deletes;
-      } else if (bucket.IsNotFound() && local.IsNotFound()) {
-        ++stats.already_absent;
-      } else {
-        ++stats.retired_objects;
-        stats.retired_bytes += rec.stored_bytes;
-      }
-    }
-  }
-  return report;
+  return Retire(store, manifest, manifest_path, policy, RetireMode::kBucket);
 }
 
 ReconcileReport ReconcileOrphans(CheckpointStore* store,
@@ -277,44 +259,30 @@ Result<GcReport> RetireRun(FileSystem* fs, const std::string& manifest_path,
                            const std::string& ckpt_prefix,
                            const GcPolicy& policy,
                            const std::string& bucket_prefix) {
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(manifest_path));
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
-  TierOptions tier;
-  tier.bucket_prefix = bucket_prefix;
-  auto store = CheckpointStore::Open(fs, ckpt_prefix, tier, &manifest);
-  return RetireCheckpoints(store.get(), &manifest, manifest_path, policy);
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run, OpenForGc(fs, manifest_path,
+                                                 ckpt_prefix, bucket_prefix));
+  return RetireCheckpoints(run.store.get(), &run.manifest, manifest_path,
+                           policy);
 }
 
 Result<GcReport> RetireBucketRun(FileSystem* fs,
                                  const std::string& manifest_path,
                                  const std::string& ckpt_prefix,
                                  const std::string& bucket_prefix,
-                                 const BucketGcPolicy& policy) {
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(manifest_path));
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
-  TierOptions tier;
-  tier.bucket_prefix = bucket_prefix;
-  auto store = CheckpointStore::Open(fs, ckpt_prefix, tier, &manifest);
-  return RetireBucketCheckpoints(store.get(), &manifest, manifest_path,
-                                 policy);
+                                 const GcPolicy& policy) {
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run, OpenForGc(fs, manifest_path,
+                                                 ckpt_prefix, bucket_prefix));
+  return RetireBucketCheckpoints(run.store.get(), &run.manifest,
+                                 manifest_path, policy);
 }
 
 Result<ReconcileReport> ReconcileRun(FileSystem* fs,
                                      const std::string& manifest_path,
                                      const std::string& ckpt_prefix,
                                      const std::string& bucket_prefix) {
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(manifest_path));
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
-  TierOptions tier;
-  tier.bucket_prefix = bucket_prefix;
-  auto store = CheckpointStore::Open(fs, ckpt_prefix, tier, &manifest);
-  return ReconcileOrphans(store.get(), manifest);
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run, OpenForGc(fs, manifest_path,
+                                                 ckpt_prefix, bucket_prefix));
+  return ReconcileOrphans(run.store.get(), run.manifest);
 }
 
 }  // namespace flor

@@ -34,8 +34,8 @@
 //     leaves the manifest intact, because the record is still readable
 //     through the bucket fall-through. Unspooled objects are skipped, so
 //     demotion never makes a record unreadable.
-//   * RetireBucketCheckpoints is the final-tier GC (keep-newest-K',
-//     unpinned): it follows the same manifest-first ordering contract —
+//   * RetireBucketCheckpoints is the final-tier GC (keep-newest-K', pins
+//     honored): it follows the same manifest-first ordering contract —
 //     prune + persist the manifest atomically, then delete the bucket
 //     object and any lingering local copy.
 //   * ReconcileOrphans is the off-hot-path sweep reclaiming the orphans
@@ -43,6 +43,11 @@
 //     rehydration resurrects when it races local GC). Run it between
 //     sessions, not concurrently with a record run: a mid-materialize
 //     object is not yet in the manifest and would be swept as an orphan.
+//
+// Local prune, demotion and bucket retirement are one routine configured
+// by one policy type (GcPolicy): plan → group by shard → (prune + persist
+// the manifest first; demotion keeps it) → per-shard delete-and-classify.
+// Only the per-record delete differs between the three.
 
 #ifndef FLOR_CHECKPOINT_GC_H_
 #define FLOR_CHECKPOINT_GC_H_
@@ -55,7 +60,10 @@
 
 namespace flor {
 
-/// Retention policy for one run's checkpoint store.
+/// Retention policy — one type for every tier: local retirement, demotion,
+/// and bucket retirement each take their own instance, so local K and
+/// bucket K' are tuned independently (K' >= K keeps the bucket a superset
+/// of the local tier).
 struct GcPolicy {
   /// Keep the checkpoints of the K most recent epochs per loop; 0 disables
   /// retirement entirely (the GC is then a guaranteed no-op: no manifest
@@ -66,17 +74,6 @@ struct GcPolicy {
   /// GC treats it as a set). Protects epoch-level records (single-segment
   /// ctx) at those epochs; nested-loop records are not init-restore
   /// targets and retire by recency regardless of pins.
-  std::vector<int64_t> pinned_epochs;
-};
-
-/// Retention policy for the bucket tier (the durable archive). Same shape
-/// as GcPolicy, separate type: local K and bucket K' are tuned
-/// independently (K' >= K keeps the bucket a superset of the local tier).
-struct BucketGcPolicy {
-  /// Keep the bucket checkpoints of the K' most recent epochs per loop;
-  /// 0 disables bucket retirement (guaranteed no-op).
-  int64_t keep_last_k = 0;
-  /// Epoch pins, same semantics as GcPolicy::pinned_epochs.
   std::vector<int64_t> pinned_epochs;
 };
 
@@ -207,7 +204,7 @@ Result<GcReport> RetireCheckpoints(CheckpointStore* store,
 Result<GcReport> RetireBucketCheckpoints(CheckpointStore* store,
                                          Manifest* manifest,
                                          const std::string& manifest_path,
-                                         const BucketGcPolicy& policy);
+                                         const GcPolicy& policy);
 
 /// Off-hot-path orphan sweep: diffs the manifest against ListPrefix of
 /// every shard (local tier and, when attached, bucket tier) and deletes
@@ -234,7 +231,7 @@ Result<GcReport> RetireBucketRun(FileSystem* fs,
                                  const std::string& manifest_path,
                                  const std::string& ckpt_prefix,
                                  const std::string& bucket_prefix,
-                                 const BucketGcPolicy& policy);
+                                 const GcPolicy& policy);
 
 /// Convenience wrapper for ReconcileOrphans, mirroring RetireRun. Empty
 /// `bucket_prefix` sweeps the local tier only.

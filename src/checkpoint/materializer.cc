@@ -71,12 +71,6 @@ GroupCommitStats Materializer::group_commit_stats() const {
   return gc_stats_;
 }
 
-std::vector<std::pair<CheckpointKey, uint64_t>>
-Materializer::TakeBackgroundStoredBytes() {
-  std::lock_guard<std::mutex> lock(gc_mu_);
-  return std::exchange(bg_stored_, {});
-}
-
 std::pair<double, double> Materializer::AccountSim(uint64_t nominal_bytes,
                                                    double* bg_seconds) {
   const MaterializerCosts& c = options_.costs;
@@ -158,7 +152,6 @@ Result<MaterializeReceipt> Materializer::Materialize(
     // Real serialize + write (synchronously, correctness path), simulated
     // time (cost model path).
     std::string bytes = EncodeCheckpoint(snaps);
-    receipt.stored_bytes = bytes.size();
     FLOR_RETURN_IF_ERROR(store->PutBytes(key, bytes));
     NotifyDurable(key, bytes.size());
 
@@ -173,7 +166,6 @@ Result<MaterializeReceipt> Materializer::Materialize(
     const double start = env_->clock()->NowSeconds();
     if (options_.strategy == MaterializeStrategy::kBaseline) {
       std::string bytes = EncodeCheckpoint(snaps);
-      receipt.stored_bytes = bytes.size();
       FLOR_RETURN_IF_ERROR(store->PutBytes(key, bytes));
       NotifyDurable(key, bytes.size());
       receipt.main_thread_seconds = env_->clock()->NowSeconds() - start;
@@ -209,10 +201,6 @@ Result<MaterializeReceipt> Materializer::Materialize(
           FLOR_LOG(kError) << "background materialization failed: "
                            << s.ToString();
         } else {
-          {
-            std::lock_guard<std::mutex> lock(gc_mu_);
-            bg_stored_.emplace_back(key_copy, bytes.size());
-          }
           NotifyDurable(key_copy, bytes.size());
         }
       });

@@ -115,10 +115,6 @@ struct MaterializeReceipt {
   double main_thread_seconds = 0;  ///< blocked training-thread time
   double stall_seconds = 0;        ///< part of main time due to backpressure
   double background_seconds = 0;   ///< bg serialize/write duration (Mi part)
-  /// Actual on-disk size. 0 when the write was queued to the wall-clock
-  /// background worker: the job encodes after Materialize returns and
-  /// reports its size through TakeBackgroundStoredBytes().
-  uint64_t stored_bytes = 0;
   uint64_t raw_bytes = 0;          ///< actual snapshot size
 };
 
@@ -140,12 +136,14 @@ struct MaterializerOptions {
   /// a partial slot, so no acked checkpoint's notification is ever lost.
   int group_commit_window = 1;
   /// Invoked once a checkpoint's bytes are durably in the store (PutBytes
-  /// returned OK): inline on the training thread under a simulated clock
+  /// returned OK), with their encoded size, in store order and before
+  /// Drain() returns: inline on the training thread under a simulated clock
   /// or the Baseline strategy, on the background worker thread otherwise —
   /// so it must be thread-safe in wall mode and must never block on the
-  /// materializer itself. The record session hands checkpoints to the
-  /// background spooler through this hook (spool-as-you-materialize); it
-  /// is not called for failed writes.
+  /// materializer itself. The record session takes each checkpoint's
+  /// stored size from this hook and hands checkpoints to the background
+  /// spooler through it (spool-as-you-materialize); it is not called for
+  /// failed writes.
   std::function<void(const CheckpointKey& key, uint64_t stored_bytes)>
       on_durable;
 };
@@ -181,11 +179,6 @@ class Materializer {
   /// background notifications (internally locked).
   GroupCommitStats group_commit_stats() const;
 
-  /// (key, encoded size) of every checkpoint a background job stored since
-  /// the last call, in store order, which is Materialize call order. Call
-  /// after Drain() to complete the receipts of queued writes.
-  std::vector<std::pair<CheckpointKey, uint64_t>> TakeBackgroundStoredBytes();
-
   const MaterializerOptions& options() const { return options_; }
 
  private:
@@ -211,12 +204,10 @@ class Materializer {
   Env* env_;
   MaterializerOptions options_;
 
-  /// Open group-commit slot (keys + sizes in store order) and its stats,
-  /// and the sizes background jobs stored since the last take.
+  /// Open group-commit slot (keys + sizes in store order) and its stats.
   mutable std::mutex gc_mu_;
   std::vector<std::pair<CheckpointKey, uint64_t>> gc_slot_;
   GroupCommitStats gc_stats_;
-  std::vector<std::pair<CheckpointKey, uint64_t>> bg_stored_;
 
   // Sim-mode background ledger: completion times (seconds) of in-flight
   // jobs, and when the single background worker frees up.

@@ -128,6 +128,11 @@ Result<Manifest> Manifest::Deserialize(const std::string& data) {
   return m;
 }
 
+Result<Manifest> ReadManifest(const FileSystem* fs, const std::string& path) {
+  FLOR_ASSIGN_OR_RETURN(std::string bytes, fs->ReadFile(path));
+  return Manifest::Deserialize(bytes);
+}
+
 CheckpointStore::CheckpointStore(FileSystem* fs, std::string prefix,
                                  int num_shards)
     : fs_(fs), prefix_(std::move(prefix)), router_(num_shards) {
@@ -160,6 +165,15 @@ std::unique_ptr<CheckpointStore> CheckpointStore::Open(
     if (manifest != nullptr) store->SeedBloomFromManifest(*manifest);
   }
   return store;
+}
+
+Result<OpenedRun> OpenRun(FileSystem* fs, const std::string& manifest_path,
+                          const std::string& ckpt_prefix,
+                          const TierOptions& tier) {
+  OpenedRun run;
+  FLOR_ASSIGN_OR_RETURN(run.manifest, ReadManifest(fs, manifest_path));
+  run.store = CheckpointStore::Open(fs, ckpt_prefix, tier, &run.manifest);
+  return run;
 }
 
 Status CheckpointStore::PutBytes(const CheckpointKey& key,

@@ -80,6 +80,10 @@ struct Manifest {
   static Result<Manifest> Deserialize(const std::string& data);
 };
 
+/// Reads and parses the manifest at `path` — the one manifest reader:
+/// NotFound when the file is missing, Corruption when it is torn.
+Result<Manifest> ReadManifest(const FileSystem* fs, const std::string& path);
+
 /// Per-shard write accounting (objects/bytes that went through PutBytes).
 struct ShardWriteStats {
   int64_t objects = 0;
@@ -294,6 +298,20 @@ class CheckpointStore {
   mutable std::atomic<int64_t> bloom_skipped_probes_{0};
   mutable std::atomic<int64_t> bloom_false_positives_{0};
 };
+
+/// A recorded run's store, opened over its manifest.
+struct OpenedRun {
+  Manifest manifest;
+  std::unique_ptr<CheckpointStore> store;
+};
+
+/// Reads the manifest at `manifest_path` (ReadManifest's error codes), then
+/// opens the store at `ckpt_prefix` through CheckpointStore::Open with
+/// `tier` — the manifest fixes the shard layout and seeds the blooms.
+/// Replay, GC and the service's existence probes all open runs here.
+Result<OpenedRun> OpenRun(FileSystem* fs, const std::string& manifest_path,
+                          const std::string& ckpt_prefix,
+                          const TierOptions& tier);
 
 }  // namespace flor
 

@@ -8,39 +8,31 @@ namespace flor {
 RecordSession::RecordSession(Env* env, RecordOptions options)
     : env_(env), options_(std::move(options)), paths_(options_.run_prefix),
       adaptive_(options_.adaptive) {
-  // The spool mirror doubles as the store's bucket tier: end-of-run GC
-  // then demotes (deletes local copies, keeps the manifest) instead of
-  // retiring outright, and replay configured with the same bucket prefix
-  // faults demoted checkpoints back in. Constructed directly (not via
-  // CheckpointStore::Open) on purpose: this ctor is on the measured record
-  // hot path (bench_table4_storage) and the direct form keeps the
-  // construction inline; it is allowlisted in check.sh's construction lint.
-  store_ = std::make_unique<CheckpointStore>(env_->fs(), paths_.CkptPrefix(),
-                                             options_.ckpt_shards);
-  if (!options_.spool_prefix.empty()) {
-    store_->AttachBucket(options_.spool_prefix);
-    // Spool-as-you-materialize: the materializer hands each durably stored
-    // checkpoint to the spooler's shard-local batch. In wall mode this
-    // runs on the materializer's worker thread, and a full spool queue
-    // (max_queued_batches) backpressures that worker — and, through the
-    // materializer's own bounded in-flight depth, eventually the training
-    // thread — instead of buffering unboundedly. A service Connection
-    // injects its shared queue through shared_spool; a standalone session
-    // owns a private one.
-    if (options_.shared_spool == nullptr) {
-      spool_ = std::make_unique<SpoolQueue>(env_->fs(), store_->num_shards(),
-                                            options_.spool);
+  // The spool mirror doubles as the store's bucket tier, so replay
+  // configured with the same bucket prefix faults demoted checkpoints back
+  // in after retirement.
+  if (options_.spool_prefix.empty()) options_.spool = nullptr;
+  TierOptions tier;
+  tier.bucket_prefix = options_.spool_prefix;
+  store_ = CheckpointStore::Open(env_->fs(), paths_.CkptPrefix(), tier,
+                                 nullptr, options_.ckpt_shards);
+  // Every durably stored checkpoint reports its encoded size here, in
+  // store order and before Drain() returns; the manifest takes its
+  // stored_bytes from this. When spooling, the checkpoint also joins the
+  // spooler's shard-local batch (spool-as-you-materialize). In wall mode
+  // this runs on the materializer's worker thread, and a full spool queue
+  // (max_queued_batches) backpressures that worker — and, through the
+  // materializer's own bounded in-flight depth, eventually the training
+  // thread — instead of buffering unboundedly.
+  options_.materializer.on_durable = [this](const CheckpointKey& key,
+                                            uint64_t stored_bytes) {
+    if (options_.spool != nullptr) {
+      options_.spool->Enqueue(store_->ShardOf(key), store_->PathFor(key),
+                              store_->BucketPathFor(key), stored_bytes);
     }
-    SpoolQueue* spool =
-        options_.shared_spool != nullptr ? options_.shared_spool
-                                         : spool_.get();
-    options_.materializer.on_durable = [this, spool](const CheckpointKey& key,
-                                                     uint64_t stored_bytes) {
-      const std::string src = store_->PathFor(key);
-      spool->Enqueue(store_->ShardOf(key), src, store_->BucketPathFor(key),
-                     stored_bytes);
-    };
-  }
+    std::lock_guard<std::mutex> lock(durable_mu_);
+    durable_.emplace_back(key, stored_bytes);
+  };
   materializer_ = std::make_unique<Materializer>(env_, options_.materializer);
 }
 
@@ -69,16 +61,17 @@ SpoolReport SpoolReportDelta(const SpoolReport& after,
 Result<RecordResult> RecordSession::Run(ir::Program* program,
                                         exec::Frame* frame) {
   RecordResult result;
-  SpoolQueue* spool =
-      !options_.spool_prefix.empty()
-          ? (options_.shared_spool != nullptr ? options_.shared_spool
-                                              : spool_.get())
-          : nullptr;
+  SpoolQueue* spool = options_.spool;
+  if (!options_.spool_prefix.empty() && spool == nullptr) {
+    return Status::InvalidArgument(
+        StrCat("spool_prefix '", options_.spool_prefix,
+               "' needs a caller-owned spool queue (RecordOptions::spool)"));
+  }
   std::vector<SpoolReport> spool_baseline;
   if (spool != nullptr) {
     if (spool->num_shards() != store_->num_shards()) {
       return Status::InvalidArgument(
-          StrCat("shared spool has ", spool->num_shards(),
+          StrCat("spool queue has ", spool->num_shards(),
                  " shard(s) but the run's checkpoint store has ",
                  store_->num_shards()));
     }
@@ -105,15 +98,17 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
   // The end-of-run join with background children counts toward runtime.
   materializer_->Drain();
   result.runtime_seconds = env_->clock()->NowSeconds() - start;
-  // Queued background writes learn their encoded size only after
-  // Materialize returned; fold it into their records (same order) before
-  // the manifest is written, so GC's retired_bytes counts real bytes.
-  std::vector<CheckpointRecord>& records = manifest_.records;
-  size_t r = 0;
-  for (const auto& [key, bytes] :
-       materializer_->TakeBackgroundStoredBytes()) {
-    while (r < records.size() && !(records[r].key == key)) ++r;
-    if (r < records.size()) records[r++].stored_bytes = bytes;
+  // Fold each checkpoint's encoded size into its record (same order)
+  // before the manifest is written, so GC's retired_bytes counts real
+  // bytes. A background write that failed reports nothing and keeps 0.
+  {
+    std::lock_guard<std::mutex> lock(durable_mu_);
+    std::vector<CheckpointRecord>& records = manifest_.records;
+    size_t r = 0;
+    for (const auto& [key, bytes] : durable_) {
+      while (r < records.size() && !(records[r].key == key)) ++r;
+      if (r < records.size()) records[r++].stored_bytes = bytes;
+    }
   }
 
   // Spooling is a background tail (the paper's spooler outlives training):
@@ -139,19 +134,6 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
       env_->fs()->WriteFile(paths_.Logs(), result.logs.Serialize()));
   FLOR_RETURN_IF_ERROR(
       env_->fs()->WriteFile(paths_.Manifest(), manifest_.Serialize()));
-
-  // Retirement closes the lifecycle: the full manifest is durable above.
-  // With a spool mirror the store has a bucket tier attached, so this pass
-  // *demotes* — local copies of old epochs are deleted, the manifest stays
-  // complete, and replay faults them back in from the bucket. Without one
-  // it prunes outright (atomic manifest rewrite first, shard-local deletes
-  // after), so replay plans only ever see surviving epochs.
-  if (options_.gc.keep_last_k > 0) {
-    FLOR_ASSIGN_OR_RETURN(
-        result.gc_report,
-        RetireCheckpoints(store_.get(), &manifest_, paths_.Manifest(),
-                          options_.gc));
-  }
 
   result.skipblocks = stats_;
   result.manifest = manifest_;
@@ -222,7 +204,6 @@ Status RecordSession::OnSkipBlockExit(ir::Loop* loop, const std::string& ctx,
   rec.key = key;
   rec.epoch = key.EpochIndex();
   rec.raw_bytes = receipt.raw_bytes;
-  rec.stored_bytes = receipt.stored_bytes;
   rec.nominal_raw_bytes = nominal;
   rec.materialize_seconds =
       receipt.background_seconds > 0

@@ -11,25 +11,26 @@
 //   4. the log stream and the checkpoint manifest are persisted.
 //
 // The background lifecycle continues past materialization when configured:
-// with RecordOptions::spool_prefix set, every checkpoint is handed to a
-// per-shard batched SpoolQueue the moment the materializer lands it
-// (spool-as-you-materialize — the paper's background spooler, §6.2), with
-// backpressure through the spooler's bounded queue depth; with
-// RecordOptions::gc.keep_last_k set, old checkpoints are retired per shard
-// after the run's artifacts are persisted (keep-last-K-per-loop,
-// checkpoint/gc.h). Without a spool mirror the result's manifest reflects
-// the survivors; with one, the mirror is the store's bucket tier, so GC
-// demotes instead — local copies go, the manifest stays complete, and
-// replay configured with the same bucket prefix faults old epochs back in.
+// with RecordOptions::spool_prefix set, every checkpoint is handed to the
+// caller's per-shard batched SpoolQueue the moment the materializer lands
+// it (spool-as-you-materialize — the paper's background spooler, §6.2),
+// with backpressure through the spooler's bounded queue depth. The spool
+// mirror doubles as the store's bucket tier. Retirement closes the
+// lifecycle after Run returns: one-shot callers run RetireRun /
+// RetireCheckpoints (checkpoint/gc.h) themselves, a service Connection
+// schedules it on its background worker — with a spool mirror the pass
+// demotes (local copies go, the manifest stays complete, and replay
+// configured with the same bucket prefix faults old epochs back in).
 
 #ifndef FLOR_FLOR_RECORD_H_
 #define FLOR_FLOR_RECORD_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "checkpoint/gc.h"
 #include "checkpoint/materializer.h"
 #include "checkpoint/spool.h"
 #include "checkpoint/store.h"
@@ -41,51 +42,48 @@
 
 namespace flor {
 
-/// Record configuration.
-struct RecordOptions {
-  /// Filesystem prefix for this run's artifacts.
-  std::string run_prefix = "run";
+/// Per-run record knobs — the workload-shaped layer (cost models, adaptive
+/// controller). A service Session::Record takes exactly this; everything
+/// store-, tier- and retirement-shaped is connection state there.
+struct SessionRecordOptions {
   /// Workload name stored in the manifest (informational).
   std::string workload;
-  /// False disables instrumentation entirely — the "vanilla execution"
-  /// baseline the paper compares against.
-  bool checkpointing_enabled = true;
-  /// Shard count of the run's checkpoint store (recorded in the manifest
-  /// so replay finds objects without probing). 1 = legacy flat layout.
-  int ckpt_shards = 1;
+  /// The session installs its own on_durable hook; a caller's is replaced.
   MaterializerOptions materializer;
   AdaptiveOptions adaptive;
-  /// Non-empty enables spool-as-you-materialize: each checkpoint is
-  /// enqueued on a background SpoolQueue as soon as it is durably stored,
-  /// mirrored at "<spool_prefix>/<object path>" (prefix "s3" mirrors
-  /// run/ckpt/... under s3/run/ckpt/...). Shard-local batching; per-shard
-  /// SpoolReports in RecordResult after the end-of-run drain.
-  std::string spool_prefix;
-  SpoolOptions spool;
-  /// Externally owned spool queue (a flor::Connection's shared spooler):
-  /// when set together with spool_prefix, the session enqueues through it
-  /// instead of constructing a private queue, so concurrent record
-  /// sessions share one spooler's batching and backpressure (`spool` is
-  /// then ignored — the owner configured the queue). The queue's shard
-  /// count must match ckpt_shards. The end-of-run drain drains the shared
-  /// queue (other sessions' pending batches included — the group-drain
-  /// semantics of a shared spooler), and RecordResult reports the spool
-  /// *delta* observed across this session's run, not the queue's lifetime
-  /// totals.
-  SpoolQueue* shared_spool = nullptr;
-  /// Checkpoint retention, applied after logs + manifest are persisted:
-  /// keep_last_k == 0 (default) keeps everything and leaves the store
-  /// byte-identical; K > 0 retires older epochs per loop, shard-locally
-  /// (checkpoint/gc.h). With spool_prefix set this pass demotes to the
-  /// bucket tier (local deletes only, manifest intact); bucket copies are
-  /// only reclaimed by the separate bucket GC (RetireBucketCheckpoints).
-  GcPolicy gc;
   /// Nominal (paper-scale) raw bytes per checkpoint for the simulated cost
   /// model; 0 = use actual snapshot sizes.
   uint64_t nominal_checkpoint_bytes = 0;
   /// Optional vanilla runtime of the same program (stored in the manifest
   /// so benches can report overhead without re-deriving it).
   double vanilla_runtime_seconds = 0;
+};
+
+/// Record configuration: the per-run knobs plus where the run lives and
+/// how its checkpoints are stored and spooled.
+struct RecordOptions : SessionRecordOptions {
+  /// Filesystem prefix for this run's artifacts.
+  std::string run_prefix = "run";
+  /// False disables instrumentation entirely — the "vanilla execution"
+  /// baseline the paper compares against.
+  bool checkpointing_enabled = true;
+  /// Shard count of the run's checkpoint store (recorded in the manifest
+  /// so replay finds objects without probing). 1 = legacy flat layout.
+  int ckpt_shards = 1;
+  /// Non-empty enables spool-as-you-materialize: each checkpoint is
+  /// enqueued on `spool` as soon as it is durably stored, mirrored at
+  /// "<spool_prefix>/<object path>" (prefix "s3" mirrors run/ckpt/...
+  /// under s3/run/ckpt/...). Per-shard SpoolReports in RecordResult after
+  /// the end-of-run drain.
+  std::string spool_prefix;
+  /// The caller-owned spool queue (required with spool_prefix; Run returns
+  /// InvalidArgument without one). It must outlive the session, and its
+  /// shard count must match ckpt_shards. The end-of-run drain drains the
+  /// whole queue (other sessions' pending batches included — the
+  /// group-drain semantics of a shared spooler), and RecordResult reports
+  /// the spool *delta* observed across this session's run, not the
+  /// queue's lifetime totals.
+  SpoolQueue* spool = nullptr;
 };
 
 /// Outcome of a record run.
@@ -108,9 +106,6 @@ struct RecordResult {
   /// charged to runtime_seconds.
   std::vector<SpoolReport> spool_shard_reports;
   SpoolReport spool_report;
-  /// Retention outcome (all-zero when gc.keep_last_k == 0). When
-  /// checkpoints were retired, `manifest` above reflects the survivors.
-  GcReport gc_report;
 };
 
 /// Executes one program under Flor record. Single-use.
@@ -139,10 +134,11 @@ class RecordSession : public exec::ExecHooks {
   RecordOptions options_;
   RunPaths paths_;
   std::unique_ptr<CheckpointStore> store_;
-  /// Declared before materializer_: the materializer's background jobs
-  /// enqueue into the spooler through on_durable, so the materializer must
-  /// be destroyed (and drained) first.
-  std::unique_ptr<SpoolQueue> spool_;
+  /// (key, stored bytes) of every durably stored checkpoint, in store
+  /// order, from the materializer's on_durable hook — on the background
+  /// worker thread in wall mode, hence the lock.
+  std::mutex durable_mu_;
+  std::vector<std::pair<CheckpointKey, uint64_t>> durable_;
   std::unique_ptr<Materializer> materializer_;
   AdaptiveController adaptive_;
   Manifest manifest_;

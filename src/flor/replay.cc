@@ -31,14 +31,14 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
   probed_transitive_ =
       TransitivelyProbedLoops(*current_program, result.probes);
 
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        env_->fs()->ReadFile(paths_.Manifest()));
-  FLOR_ASSIGN_OR_RETURN(manifest_, Manifest::Deserialize(manifest_bytes));
-  // The manifest decides the shard layout; Open applies the whole tier
+  // The manifest decides the shard layout; OpenRun applies the whole tier
   // configuration (bucket attach, bloom sizing + manifest seeding) in one
   // place shared with GC and the service Connection.
-  store_ = CheckpointStore::Open(env_->fs(), paths_.CkptPrefix(), options_,
-                                 &manifest_);
+  FLOR_ASSIGN_OR_RETURN(OpenedRun opened,
+                        OpenRun(env_->fs(), paths_.Manifest(),
+                                paths_.CkptPrefix(), options_));
+  manifest_ = std::move(opened.manifest);
+  store_ = std::move(opened.store);
   for (const auto& rec : manifest_.records)
     records_by_key_[rec.key.ToString()] = &rec;
 

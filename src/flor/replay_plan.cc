@@ -50,10 +50,7 @@ Result<int> PlanActiveWorkers(const ProgramFactory& factory,
   if (epochs < 0) return options.num_workers;  // dynamic trip count
 
   RunPaths paths(options.run_prefix);
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(paths.Manifest()));
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
+  FLOR_ASSIGN_OR_RETURN(Manifest manifest, ReadManifest(fs, paths.Manifest()));
   const std::vector<int64_t> boundaries =
       CheckpointBoundaryEpochs(instance.program.get(), manifest);
   FLOR_ASSIGN_OR_RETURN(PartitionPlan plan,
@@ -77,10 +74,7 @@ Result<std::vector<int64_t>> PlannedRestoreEpochs(
   }
 
   RunPaths paths(options.run_prefix);
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(paths.Manifest()));
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
+  FLOR_ASSIGN_OR_RETURN(Manifest manifest, ReadManifest(fs, paths.Manifest()));
   const std::vector<int64_t> boundaries =
       CheckpointBoundaryEpochs(instance.program.get(), manifest);
 

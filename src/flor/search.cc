@@ -44,10 +44,8 @@ Result<SearchResult> SearchReplay(Env* env, const ProgramFactory& factory,
                                   const SearchOptions& options) {
   // Discover the epoch count from the recorded manifest's loop executions.
   RunPaths paths(options.run_prefix);
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        env->fs()->ReadFile(paths.Manifest()));
   FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
+                        ReadManifest(env->fs(), paths.Manifest()));
   int64_t epochs = 0;
   for (const auto& [loop_id, ni] : manifest.loop_executions)
     epochs = std::max(epochs, ni);

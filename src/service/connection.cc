@@ -407,7 +407,7 @@ void Connection::AccountTier(const std::string& tenant,
 
 Result<GcReport> Connection::RetireBucket(const std::string& tenant,
                                           const std::string& run,
-                                          const BucketGcPolicy& policy) {
+                                          const GcPolicy& policy) {
   FLOR_RETURN_IF_ERROR(ValidateNamespaceSegment(tenant, "tenant"));
   FLOR_RETURN_IF_ERROR(ValidateNamespaceSegment(run, "run"));
   if (options_.tier.bucket_prefix.empty())

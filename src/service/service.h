@@ -25,9 +25,12 @@
 // Thread-safety follows WiredTiger: a Connection is fully thread-safe
 // and meant to be shared; a Session is a cheap single-threaded handle —
 // open one per thread. The one-shot entry points (RecordSession,
-// RunPartitionedReplay) remain as the compat surface and share
-// this layer's internals (CheckpointStore::Open, TierOptions,
-// RecordOptions::shared_spool), so both paths stay byte-identical.
+// RunPartitionedReplay) remain as the compat surface and share this
+// layer's internals: a session's RecordOptions is its SessionRecordOptions
+// plus the connection's run prefix, shard count, bucket prefix and spool
+// queue (RecordOptions::spool), stores open through CheckpointStore::Open
+// with the connection's TierOptions, and retirement runs through RetireRun
+// — so both paths stay byte-identical.
 
 #ifndef FLOR_SERVICE_SERVICE_H_
 #define FLOR_SERVICE_SERVICE_H_
@@ -231,7 +234,7 @@ class Connection {
   /// any record session is executing.
   Result<GcReport> RetireBucket(const std::string& tenant,
                                 const std::string& run,
-                                const BucketGcPolicy& policy);
+                                const GcPolicy& policy);
 
   /// Manifest-vs-listing orphan sweep for one run. Synchronous,
   /// between-sessions maintenance like RetireBucket.
@@ -341,21 +344,6 @@ class Connection {
   ConnectionStats stats_;
 };
 
-/// Per-call record knobs — the workload-shaped layer (cost models,
-/// adaptive controller); everything store/tier/GC-shaped is connection
-/// state.
-struct SessionRecordOptions {
-  /// Workload name stored in the manifest (informational).
-  std::string workload;
-  MaterializerOptions materializer;
-  AdaptiveOptions adaptive;
-  /// Nominal (paper-scale) raw bytes per checkpoint for the simulated
-  /// cost model; 0 = actual snapshot sizes.
-  uint64_t nominal_checkpoint_bytes = 0;
-  /// Optional vanilla runtime of the same program (manifest field).
-  double vanilla_runtime_seconds = 0;
-};
-
 /// Per-call replay knobs: engine choice, worker count, scratch dir. The
 /// tier configuration (bucket + bloom) always comes from the connection.
 struct SessionReplayOptions {
@@ -448,10 +436,10 @@ class Session {
 
   Session(Connection* conn, std::string tenant);
 
-  /// Opens the run's store the same way replay does: manifest-first, then
-  /// CheckpointStore::Open with the connection tier.
+  /// Opens the run's store the same way replay does (OpenRun with the
+  /// connection tier).
   Result<std::unique_ptr<CheckpointStore>> OpenRunStore(
-      const std::string& run, Manifest* manifest_out) const;
+      const std::string& run) const;
 
   Connection* conn_;
   std::string tenant_;

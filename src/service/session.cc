@@ -51,19 +51,14 @@ Result<SessionRecordResult> Session::Record(
   const ConnectionOptions& copts = conn_->options();
 
   RecordOptions ropts;
+  static_cast<SessionRecordOptions&>(ropts) = options;
   ropts.run_prefix = prefix;
-  ropts.workload = options.workload;
   ropts.ckpt_shards = copts.ckpt_shards;
-  ropts.materializer = options.materializer;
-  ropts.adaptive = options.adaptive;
-  ropts.nominal_checkpoint_bytes = options.nominal_checkpoint_bytes;
-  ropts.vanilla_runtime_seconds = options.vanilla_runtime_seconds;
   // The connection owns the spool mirror and retirement: sessions spool
-  // through the shared queue and never run GC inline — the background
-  // worker retires after the run's artifacts are durable.
+  // through the shared queue, and the background worker retires after the
+  // run's artifacts are durable.
   ropts.spool_prefix = copts.tier.bucket_prefix;
-  ropts.shared_spool = conn_->shared_spool();
-  ropts.gc = GcPolicy();
+  ropts.spool = conn_->shared_spool();
 
   double admission_wait_seconds = 0;
   FLOR_RETURN_IF_ERROR(
@@ -179,17 +174,13 @@ Result<std::vector<double>> Session::MetricSeries(
 }
 
 Result<std::unique_ptr<CheckpointStore>> Session::OpenRunStore(
-    const std::string& run, Manifest* manifest_out) const {
+    const std::string& run) const {
   FLOR_ASSIGN_OR_RETURN(const std::string prefix, RunPrefix(run));
   const RunPaths paths(prefix);
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        conn_->env()->fs()->ReadFile(paths.Manifest()));
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
-  auto store = CheckpointStore::Open(conn_->env()->fs(), paths.CkptPrefix(),
-                                     conn_->options().tier, &manifest);
-  if (manifest_out != nullptr) *manifest_out = std::move(manifest);
-  return store;
+  FLOR_ASSIGN_OR_RETURN(OpenedRun opened,
+                        OpenRun(conn_->env()->fs(), paths.Manifest(),
+                                paths.CkptPrefix(), conn_->options().tier));
+  return std::move(opened.store);
 }
 
 Result<bool> Session::Exists(const std::string& run,
@@ -198,7 +189,7 @@ Result<bool> Session::Exists(const std::string& run,
   Connection::OpScope op(conn_);
   conn_->BumpQuery(tenant_);
   FLOR_ASSIGN_OR_RETURN(std::unique_ptr<CheckpointStore> store,
-                        OpenRunStore(run, nullptr));
+                        OpenRunStore(run));
   Result<bool> exists = store->Exists(key);
   // The store is opened fresh per probe, so its tier stats are exactly
   // this call's read-tier traffic.

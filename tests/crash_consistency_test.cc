@@ -404,7 +404,9 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
         workloads::MakeWorkloadFactory(profile, workloads::kProbeNone)();
     ASSERT_TRUE(instance.ok());
     RecordOptions opts = workloads::DefaultRecordOptions(profile, "run");
+    SpoolQueue spool(&fs, opts.ckpt_shards);
     opts.spool_prefix = "s3";
+    opts.spool = &spool;
     RecordSession session(&env, opts);
     exec::Frame frame;
     auto result = session.Run(instance->program.get(), &frame);
@@ -424,7 +426,7 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
     // or two is half-reclaimed (bucket copy gone, local copy not, or vice
     // versa) when the SIGKILL lands.
     ParkOnDeleteFileSystem parked(fs, /*park_at=*/3, wfd);
-    BucketGcPolicy policy;
+    GcPolicy policy;
     policy.keep_last_k = 2;
     auto report = RetireBucketRun(&parked, "run/manifest.tsv", "run/ckpt",
                                   "s3", policy);
@@ -473,7 +475,7 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
   EXPECT_GT(sweep->local_orphans() + sweep->bucket_orphans(), 0);
   EXPECT_EQ(count_objects(), manifest->records.size() * 2);
 
-  BucketGcPolicy policy;
+  GcPolicy policy;
   policy.keep_last_k = 2;
   auto rerun = RetireBucketRun(&fs, "run/manifest.tsv", "run/ckpt", "s3",
                                policy);
@@ -573,8 +575,11 @@ TEST_F(CrashConsistencyTest, KilledMidGroupCommitSlotLosesNoAckedCheckpoint) {
     if (!instance.ok()) _exit(3);
     RecordOptions opts = workloads::DefaultRecordOptions(profile, "run");
     opts.adaptive.enabled = false;  // dense: one checkpoint per epoch
+    SpoolOptions spool_options;
+    spool_options.max_batch_objects = 1;  // spool each ack promptly
+    SpoolQueue spool(&parked, opts.ckpt_shards, spool_options);
     opts.spool_prefix = "s3";
-    opts.spool.max_batch_objects = 1;  // spool each ack promptly
+    opts.spool = &spool;
     opts.materializer.group_commit_window = kWindow;
     RecordSession session(&env, opts);
     exec::Frame frame;
@@ -627,7 +632,9 @@ TEST_F(CrashConsistencyTest, KilledMidGroupCommitSlotLosesNoAckedCheckpoint) {
     ASSERT_TRUE(instance.ok());
     RecordOptions opts = workloads::DefaultRecordOptions(profile, "run");
     opts.adaptive.enabled = false;
+    SpoolQueue spool(&fs, opts.ckpt_shards);
     opts.spool_prefix = "s3";
+    opts.spool = &spool;
     opts.materializer.group_commit_window = kWindow;
     RecordSession session(&env, opts);
     exec::Frame frame;

@@ -1,7 +1,8 @@
 // Shard-aware checkpoint GC (checkpoint/gc.h): keep-last-K-per-loop
 // planning, manifest-first atomicity, shard-local deletes, pinned replay
-// plans, delete-failure orphans, and the end-to-end record→spool→retire
-// lifecycle through RecordSession — including byte parity of both replay
+// plans, delete-failure orphans, the three retirement modes' per-delete
+// accounting, and the end-to-end record→spool→retire lifecycle through
+// RecordSession and RetireRun — including byte parity of both replay
 // engines on a retired store.
 
 #include <gtest/gtest.h>
@@ -52,16 +53,17 @@ WorkloadProfile GcProfile(int64_t epochs = 12, int shards = 4) {
   return p;
 }
 
-/// Records `profile` onto `fs` under "run"; returns the record result.
+/// Records `profile` onto `fs` under "run", spooling to `spool_prefix`
+/// when it is non-empty; returns the record result.
 RecordResult RecordOnto(FileSystem* fs, const WorkloadProfile& profile,
-                        const std::string& spool_prefix = "",
-                        int64_t keep_last_k = 0) {
+                        const std::string& spool_prefix = "") {
   Env env(std::make_unique<SimClock>(), fs);
   auto instance = MakeWorkloadFactory(profile, kProbeNone)();
   EXPECT_TRUE(instance.ok());
   RecordOptions opts = workloads::DefaultRecordOptions(profile, "run");
+  SpoolQueue spool(fs, opts.ckpt_shards);
   opts.spool_prefix = spool_prefix;
-  opts.gc.keep_last_k = keep_last_k;
+  opts.spool = &spool;
   RecordSession session(&env, opts);
   exec::Frame frame;
   auto result = session.Run(instance->program.get(), &frame);
@@ -373,15 +375,20 @@ TEST(CheckpointGc, DeleteFailuresLeakOrphansNeverBreakReplay) {
 }
 
 TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
-  // The full pipeline through RecordSession alone: record + spool-as-you-
-  // materialize + keep-last-K retirement. With the spool mirror attached
-  // as the store's bucket tier, the end-of-run GC *demotes*: local copies
+  // The full pipeline a one-shot caller runs: RecordSession (record +
+  // spool-as-you-materialize), then keep-last-K retirement through
+  // RetireRun. With the spool mirror attached as the store's bucket tier,
+  // the end-of-run GC *demotes*: local copies
   // of old epochs are deleted, the manifest stays complete, and replay
   // faults demoted checkpoints back in from the bucket.
   MemFileSystem fs;
   const WorkloadProfile profile = GcProfile(/*epochs=*/12, /*shards=*/4);
-  const RecordResult rec =
-      RecordOnto(&fs, profile, /*spool_prefix=*/"s3", /*keep_last_k=*/2);
+  const RecordResult rec = RecordOnto(&fs, profile, /*spool_prefix=*/"s3");
+  GcPolicy policy;
+  policy.keep_last_k = 2;
+  const Result<GcReport> gc =
+      RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy, "s3");
+  ASSERT_TRUE(gc.ok()) << gc.status().ToString();
 
   // Spooling covered every materialized checkpoint, with per-shard
   // reports summing to the aggregate. Demotion keeps the manifest
@@ -397,11 +404,11 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
   // The GC demoted: local deletes only, no manifest rewrite, and every
   // demoted object had already been spooled (end-of-run GC runs after the
   // spool drain).
-  EXPECT_TRUE(rec.gc_report.demoted_to_bucket);
-  EXPECT_FALSE(rec.gc_report.manifest_rewritten);
-  EXPECT_GT(rec.gc_report.retired_objects(), 0);
-  EXPECT_EQ(rec.gc_report.skipped_unspooled(), 0);
-  EXPECT_TRUE(rec.gc_report.ok());
+  EXPECT_TRUE(gc->demoted_to_bucket);
+  EXPECT_FALSE(gc->manifest_rewritten);
+  EXPECT_GT(gc->retired_objects(), 0);
+  EXPECT_EQ(gc->skipped_unspooled(), 0);
+  EXPECT_TRUE(gc->ok());
 
   // The bucket is the durable archive: it mirrors every spooled object
   // byte-for-byte, including ones demotion deleted locally.
@@ -423,7 +430,7 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
   // is still readable.
   EXPECT_EQ(fs.ListPrefix("run/ckpt/").size(),
             rec.manifest.records.size() -
-                static_cast<size_t>(rec.gc_report.retired_objects()));
+                static_cast<size_t>(gc->retired_objects()));
   CheckpointStore local_only(&fs, "run/ckpt", rec.manifest.shard_count);
   std::map<int32_t, std::set<int64_t>> local_epochs;
   for (const auto& r : rec.manifest.records) {
@@ -456,6 +463,80 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
   EXPECT_EQ(real_result->bucket_faults, sim_result->bucket_faults);
   EXPECT_EQ(real_result->merged_logs.Serialize(),
             sim_result->merged_logs.Serialize());
+}
+
+TEST(CheckpointGc, RetirementModesClassifyEveryPlannedDelete) {
+  // Local prune, demotion and bucket retirement over one recorded store.
+  // Record a is already gone locally (and, for the bucket pass, from the
+  // bucket too), record b is missing from the bucket (demotion must skip
+  // it), and record c's first delete is refused by the store.
+  MemFileSystem recorded;
+  const WorkloadProfile profile = GcProfile(/*epochs=*/8, /*shards=*/2);
+  const RecordResult rec = RecordOnto(&recorded, profile, "s3");
+  const std::map<std::string, std::string> image =
+      SnapshotPrefix(recorded, "");
+  GcPolicy policy;
+  policy.keep_last_k = 1;
+  const std::vector<size_t> planned = PlanRetirement(rec.manifest, policy);
+  ASSERT_GE(planned.size(), 3u);
+  const int64_t n = static_cast<int64_t>(planned.size());
+  const int64_t records = static_cast<int64_t>(rec.manifest.records.size());
+  CheckpointStore paths(&recorded, "run/ckpt", rec.manifest.shard_count);
+  paths.AttachBucket("s3");
+  const CheckpointKey a = rec.manifest.records[planned[0]].key;
+  const CheckpointKey b = rec.manifest.records[planned[1]].key;
+  const CheckpointKey c = rec.manifest.records[planned[2]].key;
+
+  enum class Pass { kPrune, kDemote, kBucket };
+  struct Row {
+    const char* name;
+    Pass pass;
+    bool drop_a_bucket;    // record a is gone from the bucket too
+    bool drop_b_bucket;    // record b was never spooled
+    int64_t retired;       // planned records minus this many
+    int64_t skipped_unspooled;
+    bool manifest_rewritten;
+    bool demoted_to_bucket;
+  };
+  const Row rows[] = {
+      {"prune", Pass::kPrune, false, false, 2, 0, true, false},
+      {"demote", Pass::kDemote, false, true, 3, 1, false, true},
+      {"bucket", Pass::kBucket, true, false, 2, 0, true, false},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    MemFileSystem base;
+    for (const auto& [path, data] : image)
+      ASSERT_TRUE(base.WriteFile(path, data).ok());
+    ASSERT_TRUE(base.DeleteFile(paths.PathFor(a)).ok());
+    if (row.drop_a_bucket) {
+      ASSERT_TRUE(base.DeleteFile(paths.BucketPathFor(a)).ok());
+    }
+    if (row.drop_b_bucket) {
+      ASSERT_TRUE(base.DeleteFile(paths.BucketPathFor(b)).ok());
+    }
+    FaultInjectionFileSystem fs(&base);
+    fs.InjectDeleteFailures(1, paths.PathFor(c));
+
+    Result<GcReport> report =
+        row.pass == Pass::kBucket
+            ? RetireBucketRun(&fs, "run/manifest.tsv", "run/ckpt", "s3",
+                              policy)
+            : RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy,
+                        row.pass == Pass::kDemote ? "s3" : "");
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    int64_t already_absent = 0;
+    for (const GcShardStats& s : report->shards)
+      already_absent += s.already_absent;
+    EXPECT_EQ(report->retired_objects(), n - row.retired);
+    EXPECT_EQ(report->failed_deletes(), 1);
+    EXPECT_EQ(already_absent, 1);
+    EXPECT_EQ(report->skipped_unspooled(), row.skipped_unspooled);
+    EXPECT_EQ(report->manifest_rewritten, row.manifest_rewritten);
+    EXPECT_EQ(report->demoted_to_bucket, row.demoted_to_bucket);
+    EXPECT_EQ(report->surviving_records,
+              row.manifest_rewritten ? records - n : records);
+  }
 }
 
 TEST(CheckpointGc, ManifestPersistFailureRetiresNothing) {

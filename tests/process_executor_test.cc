@@ -184,7 +184,9 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
     auto instance = MakeWorkloadFactory(profile, kProbeNone)();
     ASSERT_TRUE(instance.ok());
     RecordOptions opts = workloads::DefaultRecordOptions(profile, "run");
+    SpoolQueue spool(&fs, opts.ckpt_shards);
     opts.spool_prefix = "s3";
+    opts.spool = &spool;
     RecordSession session(&env, opts);
     exec::Frame frame;
     auto recorded = session.Run(instance->program.get(), &frame);

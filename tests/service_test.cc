@@ -68,18 +68,6 @@ WorkloadProfile ServiceProfile(int64_t epochs = 12, int shards = 4) {
   return p;
 }
 
-/// The per-call slice of a one-shot RecordOptions — what a service caller
-/// passes per Record (the store/tier/GC layer lives on the Connection).
-SessionRecordOptions SessionRecordFrom(const RecordOptions& o) {
-  SessionRecordOptions s;
-  s.workload = o.workload;
-  s.materializer = o.materializer;
-  s.adaptive = o.adaptive;
-  s.nominal_checkpoint_bytes = o.nominal_checkpoint_bytes;
-  s.vanilla_runtime_seconds = o.vanilla_runtime_seconds;
-  return s;
-}
-
 /// Full byte image of everything under `prefix`.
 std::map<std::string, std::string> SnapshotPrefix(const FileSystem& fs,
                                                   const std::string& prefix) {
@@ -114,15 +102,17 @@ TEST(ServiceTest, SessionPathByteIdenticalToOneShotEntryPoints) {
 
   const RecordOptions ropts = workloads::DefaultRecordOptions(profile, "");
   auto rec = (*session)->Record("r1", MakeWorkloadFactory(profile, kProbeNone),
-                                SessionRecordFrom(ropts));
+                                ropts);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   (*conn)->DrainBackground();
 
-  // One-shot path: same run prefix, same spool mirror, private spooler.
+  // One-shot path: same run prefix, same spool mirror, caller's spooler.
   MemFileSystem fs_direct;
   Env env_direct = testutil::MakeSimEnv(&fs_direct);
   RecordOptions direct_opts = workloads::DefaultRecordOptions(profile, prefix);
+  SpoolQueue direct_spool(&fs_direct, direct_opts.ckpt_shards);
   direct_opts.spool_prefix = "s3";
+  direct_opts.spool = &direct_spool;
   {
     auto instance = MakeWorkloadFactory(profile, kProbeNone)();
     ASSERT_TRUE(instance.ok());
@@ -194,13 +184,11 @@ TEST(ServiceTest, TenantsAreInvisibleToEachOtherThroughEveryTier) {
 
   auto alice_rec =
       (*alice)->Record("exp", MakeWorkloadFactory(long_profile, kProbeNone),
-                       SessionRecordFrom(workloads::DefaultRecordOptions(
-                           long_profile, "")));
+                       workloads::DefaultRecordOptions(long_profile, ""));
   ASSERT_TRUE(alice_rec.ok()) << alice_rec.status().ToString();
   auto bob_rec =
       (*bob)->Record("exp", MakeWorkloadFactory(short_profile, kProbeNone),
-                     SessionRecordFrom(workloads::DefaultRecordOptions(
-                         short_profile, "")));
+                     workloads::DefaultRecordOptions(short_profile, ""));
   ASSERT_TRUE(bob_rec.ok()) << bob_rec.status().ToString();
   (*conn)->DrainBackground();  // demotion done: locals pruned to K=1
 
@@ -253,7 +241,7 @@ TEST(ServiceTest, AdmissionControlBoundsConcurrentRecorders) {
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
 
   const SessionRecordOptions sropts =
-      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+      workloads::DefaultRecordOptions(profile, "");
   auto record_one = [&](const std::string& tenant) {
     auto session = (*conn)->OpenSession(tenant);
     ASSERT_TRUE(session.ok());
@@ -292,7 +280,7 @@ TEST(ServiceTest, ConcurrentSessionsRaceBackgroundGc) {
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
 
   const SessionRecordOptions sropts =
-      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+      workloads::DefaultRecordOptions(profile, "");
   const ProgramFactory record_factory =
       MakeWorkloadFactory(profile, kProbeNone);
   const ProgramFactory probed = MakeWorkloadFactory(profile, kProbeInner);
@@ -358,7 +346,7 @@ TEST(ServiceTest, SharedSpoolReportsPerSessionDeltas) {
   ASSERT_TRUE(session.ok());
 
   const SessionRecordOptions sropts =
-      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+      workloads::DefaultRecordOptions(profile, "");
   const ProgramFactory factory = MakeWorkloadFactory(profile, kProbeNone);
   auto rec1 = (*session)->Record("r1", factory, sropts);
   ASSERT_TRUE(rec1.ok()) << rec1.status().ToString();
@@ -429,11 +417,11 @@ TEST(ServiceTest, MaintenanceRequiresQuiescence) {
   ASSERT_TRUE(session.ok());
   auto rec = (*session)->Record(
       "r1", MakeWorkloadFactory(profile, kProbeNone),
-      SessionRecordFrom(workloads::DefaultRecordOptions(profile, "")));
+      workloads::DefaultRecordOptions(profile, ""));
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   (*conn)->DrainBackground();
 
-  BucketGcPolicy policy;
+  GcPolicy policy;
   policy.keep_last_k = 1;
   auto bucket_gc = (*conn)->RetireBucket("alice", "r1", policy);
   ASSERT_TRUE(bucket_gc.ok()) << bucket_gc.status().ToString();
@@ -577,7 +565,7 @@ TEST(ServiceTest, FairAdmissionBoundsBurstTenantToQuota) {
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
 
   const SessionRecordOptions sropts =
-      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+      workloads::DefaultRecordOptions(profile, "");
   const ProgramFactory factory = MakeWorkloadFactory(profile, kProbeNone);
   auto record_one = [&](const std::string& tenant, const std::string& run) {
     auto session = (*conn)->OpenSession(tenant);
@@ -638,7 +626,7 @@ TEST(ServiceTest, GcFailureRingAttributesTenants) {
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
 
   const SessionRecordOptions sropts =
-      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+      workloads::DefaultRecordOptions(profile, "");
   const ProgramFactory factory = MakeWorkloadFactory(profile, kProbeNone);
 
   // The record path only writes; deletes happen exclusively in the GC
@@ -692,7 +680,7 @@ TEST(ServiceTest, PerTenantStatsAttributeTraffic) {
   ASSERT_TRUE(bob.ok());
 
   const SessionRecordOptions sropts =
-      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+      workloads::DefaultRecordOptions(profile, "");
   auto rec =
       (*alice)->Record("r1", MakeWorkloadFactory(profile, kProbeNone), sropts);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
@@ -759,7 +747,7 @@ TEST(ServiceTest, CloseRefusesNewWorkAndUnblocksWaiters) {
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
 
   const SessionRecordOptions sropts =
-      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+      workloads::DefaultRecordOptions(profile, "");
   const ProgramFactory factory = MakeWorkloadFactory(profile, kProbeNone);
 
   auto holder = (*conn)->OpenSession("holder");
@@ -815,7 +803,7 @@ TEST(ServiceTest, CloseDeadlineExpiryAborts) {
   ASSERT_TRUE(session.ok());
 
   const SessionRecordOptions sropts =
-      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+      workloads::DefaultRecordOptions(profile, "");
   Status record_status;
   std::thread recorder([&] {
     record_status =

@@ -306,9 +306,12 @@ TEST(SpoolQueue, RecordSessionSpoolsAsYouMaterializesOnWallClock) {
   // materialization, so the Joint Invariant would reject everything;
   // disable it — this test is about the spool pipeline, not the policy.
   opts.adaptive.enabled = false;
+  SpoolOptions spool_options;
+  spool_options.max_batch_objects = 2;
+  spool_options.max_queued_batches = 2;
+  SpoolQueue spool(&fs, opts.ckpt_shards, spool_options);
   opts.spool_prefix = "s3";
-  opts.spool.max_batch_objects = 2;
-  opts.spool.max_queued_batches = 2;
+  opts.spool = &spool;
   RecordSession session(&env, opts);
   exec::Frame frame;
   auto result = session.Run(instance->program.get(), &frame);
@@ -401,7 +404,9 @@ RecordResult RecordGroupCommit(FileSystem* fs, int window,
   RecordOptions opts =
       workloads::DefaultRecordOptions(GroupCommitProfile(), "run");
   opts.adaptive.enabled = false;
+  SpoolQueue spool(fs, opts.ckpt_shards);
   opts.spool_prefix = "s3";
+  opts.spool = &spool;
   opts.materializer.group_commit_window = window;
   opts.materializer.costs.durable_notify_seconds = notify_seconds;
   RecordSession session(&env, opts);
@@ -505,6 +510,25 @@ TEST(GroupCommit, SimNotifyCostIsAmortizedByWindow) {
               1e-6);
   EXPECT_NEAR(w8.runtime_seconds - free_run.runtime_seconds,
               10 * 0.5 / 8, 1e-6);
+}
+
+TEST(SpoolQueue, RecordSessionSpoolPrefixNeedsCallerQueue) {
+  // A spool mirror without a queue to spool through is a caller error,
+  // reported before the run writes anything.
+  MemFileSystem fs;
+  Env env(std::make_unique<SimClock>(), &fs);
+  auto instance = workloads::MakeWorkloadFactory(GroupCommitProfile(),
+                                                 workloads::kProbeNone)();
+  ASSERT_TRUE(instance.ok());
+  RecordOptions opts =
+      workloads::DefaultRecordOptions(GroupCommitProfile(), "run");
+  opts.spool_prefix = "s3";
+  RecordSession session(&env, opts);
+  exec::Frame frame;
+  auto result = session.Run(instance->program.get(), &frame);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_TRUE(fs.ListPrefix("").empty());
 }
 
 }  // namespace

@@ -54,15 +54,15 @@ WorkloadProfile TieredProfile(int64_t epochs = 12, int shards = 4) {
 }
 
 /// Records `profile` under "run" on `fs`, spooling the bucket mirror to
-/// "s3" (no end-of-run GC unless `keep_last_k` is set).
-RecordResult RecordWithMirror(FileSystem* fs, const WorkloadProfile& profile,
-                              int64_t keep_last_k = 0) {
+/// "s3" (no retirement).
+RecordResult RecordWithMirror(FileSystem* fs, const WorkloadProfile& profile) {
   Env env(std::make_unique<SimClock>(), fs);
   auto instance = MakeWorkloadFactory(profile, kProbeNone)();
   EXPECT_TRUE(instance.ok());
   RecordOptions opts = workloads::DefaultRecordOptions(profile, "run");
+  SpoolQueue spool(fs, opts.ckpt_shards);
   opts.spool_prefix = "s3";
-  opts.gc.keep_last_k = keep_last_k;
+  opts.spool = &spool;
   RecordSession session(&env, opts);
   exec::Frame frame;
   auto result = session.Run(instance->program.get(), &frame);
@@ -392,7 +392,7 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
   for (const auto& r : manifest.records)
     if (r.epoch >= 0) epochs.insert(r.epoch);
   const int64_t pinned_epoch = *epochs.begin();
-  BucketGcPolicy policy;
+  GcPolicy policy;
   policy.keep_last_k = 1;
   policy.pinned_epochs = {pinned_epoch};
 
@@ -442,7 +442,7 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
   RecordWithMirror(&faulty, profile);
   const auto before_fail = SnapshotPrefix(base2, "");
   faulty.InjectWriteFailures(1, "manifest.tsv");
-  BucketGcPolicy aggressive;
+  GcPolicy aggressive;
   aggressive.keep_last_k = 1;
   auto failed = RetireBucketRun(&faulty, "run/manifest.tsv", "run/ckpt",
                                 "s3", aggressive);
@@ -467,7 +467,7 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
   faulty_store.AttachBucket("s3");
   Manifest manifest = rec.manifest;
   faulty.InjectDeleteFailures(1 << 20);
-  BucketGcPolicy policy;
+  GcPolicy policy;
   policy.keep_last_k = 2;
   auto leaked = RetireBucketCheckpoints(&faulty_store, &manifest,
                                         "run/manifest.tsv", policy);
