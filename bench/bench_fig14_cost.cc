@@ -179,13 +179,13 @@ int main() {
 
       if (local_k == 0) {
         // Nothing was demoted; surviving records all have local copies.
-        FLOR_CHECK(replay->bucket_faults == 0);
+        FLOR_CHECK(replay->tier.bucket_faults == 0);
       } else if (bucket_k == 0) {
         // Dense manifest, local tier pruned to K epochs: restores below
         // the local horizon must fault in from the bucket.
-        FLOR_CHECK(replay->bucket_faults > 0);
+        FLOR_CHECK(replay->tier.bucket_faults > 0);
       }
-      if (replay->bucket_faults > 0) {
+      if (replay->tier.bucket_faults > 0) {
         // Faulted restores are charged at the S3 read link; the frontier
         // never beats the all-local baseline on latency.
         FLOR_CHECK(replay->latency_seconds >= baseline_latency - 1e-9);
@@ -198,7 +198,7 @@ int main() {
                   HumanBytes(bucket_bytes).c_str(),
                   HumanDollars(s3_monthly).c_str(),
                   HumanSeconds(replay->latency_seconds).c_str(),
-                  static_cast<long long>(replay->bucket_faults),
+                  static_cast<long long>(replay->tier.bucket_faults),
                   HumanDollars(cluster_cost).c_str());
       json.Row()
           .Field("stage", "tiered_frontier")
@@ -209,7 +209,7 @@ int main() {
           .Field("local_bytes", static_cast<int64_t>(local_bytes))
           .Field("bucket_bytes", static_cast<int64_t>(bucket_bytes))
           .Field("s3_monthly_cost_dollars", s3_monthly)
-          .Field("bucket_faults", replay->bucket_faults)
+          .Field("bucket_faults", replay->tier.bucket_faults)
           .Field("latency_seconds", replay->latency_seconds)
           .Field("cluster_cost_dollars", cluster_cost);
     }

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json captures and fail on wall-second regressions.
+"""Compare BENCH_*.json captures and fail on wall-second regressions.
 
 Usage:
-    bench_diff.py BASELINE.json CURRENT.json [--threshold 0.10]
-                  [--min-seconds 0.001]
+    bench_diff.py BASELINE.json CURRENT.json [CURRENT.json ...]
+                  [--threshold 0.10] [--min-seconds 0.001]
 
 Rows are matched by their identity fields: everything except measured
 values (fields named "seconds"/"fraction" or ending in "_seconds"/
@@ -14,8 +14,12 @@ must not break row matching). Fraction-valued measurements (e.g. the
 record-overhead rows of BENCH_fig11.json, which carry no wall seconds)
 are gated exactly like wall times; fields merely *mentioning* fraction
 (fraction_of_vanilla, slowdown_fraction_vs_full_pool) stay derived-only.
-For each matched row, every measured field present on both sides is
-compared; a field counts as a regression when
+Several CURRENT captures of the same bench are repetitions: a row's
+measured field is gated on the median of its values across the captures
+that carry the row (rows are those of the first capture), so one noisy
+smoke run cannot flag unchanged code. For each matched row, every measured
+field present on both sides is compared; a field counts as a regression
+when
 
     current > baseline * (1 + threshold)   and   baseline >= min-seconds
 
@@ -25,11 +29,12 @@ sweeps grow. Exit status: 0 = no regressions, 1 = at least one regression,
 2 = usage or file error.
 
 Wired into scripts/check.sh: export BENCH_BASELINE=<dir of old captures>
-to gate the freshly captured BENCH_*.json files against it.
+to gate three fresh smoke captures of each BENCH_*.json against it.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -81,7 +86,8 @@ def main():
     parser = argparse.ArgumentParser(
         description="Diff two BENCH_*.json captures.")
     parser.add_argument("baseline")
-    parser.add_argument("current")
+    parser.add_argument("current", nargs="+",
+                        help="one or more captures (repetitions)")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="relative wall-second slack (default 0.10)")
     parser.add_argument("--min-seconds", type=float, default=0.001,
@@ -89,10 +95,20 @@ def main():
     args = parser.parse_args()
 
     base_doc = load(args.baseline)
-    cur_doc = load(args.current)
-    if base_doc.get("bench") != cur_doc.get("bench"):
-        print(f"bench_diff: note: comparing different benches "
-              f"({base_doc.get('bench')} vs {cur_doc.get('bench')})")
+    cur_docs = [load(path) for path in args.current]
+    cur_doc = cur_docs[0]
+    for doc in cur_docs:
+        if base_doc.get("bench") != doc.get("bench"):
+            print(f"bench_diff: note: comparing different benches "
+                  f"({base_doc.get('bench')} vs {doc.get('bench')})")
+    # The repetitions' rows, by identity (first occurrence wins, as in the
+    # baseline).
+    repeats = []
+    for doc in cur_docs[1:]:
+        rows = {}
+        for row in doc["rows"]:
+            rows.setdefault(row_key(row), row)
+        repeats.append(rows)
 
     base_rows = {}
     for row in base_doc["rows"]:
@@ -102,20 +118,25 @@ def main():
     compared = 0
     unmatched = 0
     for row in cur_doc["rows"]:
-        base = base_rows.pop(row_key(row), None)
+        key = row_key(row)
+        base = base_rows.pop(key, None)
         if base is None:
             unmatched += 1
             continue
         for field in row:
             if not is_measured(field) or field not in base:
                 continue
-            old, new = base[field], row[field]
+            old = base[field]
+            values = [r[field] for r in [row] +
+                      [rows[key] for rows in repeats if key in rows]
+                      if field in r]
             if not isinstance(old, (int, float)) or \
-               not isinstance(new, (int, float)):
+               not all(isinstance(v, (int, float)) for v in values):
                 continue
+            new = statistics.median(values)
             compared += 1
             if old >= args.min_seconds and new > old * (1 + args.threshold):
-                regressions.append((row_key(row), field, old, new))
+                regressions.append((key, field, old, new))
 
     for key, field, old, new in regressions:
         print(f"REGRESSION {describe(key)}: {field} "

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Contract tests for scripts/bench_diff.py, run as a ctest entry.
 
-Feeds crafted BENCH_*.json pairs through the real CLI and asserts the
-documented exit codes: 0 = clean (improvements, new/unmatched rows, and
-sub-threshold noise included), 1 = at least one wall-second regression
-over the threshold, 2 = usage or file error (missing file, malformed
-JSON, not a capture).
+Feeds crafted BENCH_*.json pairs (and repeated current captures) through
+the real CLI and asserts the documented exit codes: 0 = clean
+(improvements, new/unmatched rows, sub-threshold noise and a single
+outlier repetition included), 1 = at least one wall-second regression over
+the threshold, 2 = usage or file error (missing file, malformed JSON, not
+a capture).
 
 Usage: bench_diff_test.py /path/to/bench_diff.py
 """
@@ -145,6 +146,31 @@ def main():
             [{**row, "fraction_of_vanilla": 0.90}]))
         code, out = run(bench_diff, dfrac_base, dfrac_cur)
         expect("derived-fraction-ignored", code, 0, out)
+
+        # Repeated captures gate on the median: an outlier in one of three
+        # captures does not flag...
+        rep_ok = write(tmp, "rep_ok.json", capture([{**row, "seconds": 1.0}]))
+        rep_out = write(tmp, "rep_out.json",
+                        capture([{**row, "seconds": 1.45}]))
+        rep_fine = write(tmp, "rep_fine.json",
+                         capture([{**row, "seconds": 0.98}]))
+        code, out = run(bench_diff, base, rep_out, rep_ok, rep_fine)
+        expect("outlier-in-one-of-three", code, 0, out)
+
+        # ...a 20% regression in all three does...
+        reps = [write(tmp, f"rep_slow{i}.json",
+                      capture([{**row, "seconds": s}]))
+                for i, s in enumerate((1.19, 1.2, 1.21))]
+        code, out = run(bench_diff, base, *reps)
+        expect("regression-in-all-three", code, 1, out)
+        if "1.2s" not in out:
+            failures.append(f"regression-in-all-three: median not "
+                            f"reported\n{out}")
+
+        # ...and a row missing from a repetition gates on the others.
+        rep_empty = write(tmp, "rep_empty.json", capture([]))
+        code, out = run(bench_diff, base, reps[0], rep_empty, reps[2])
+        expect("row-missing-from-a-repetition", code, 1, out)
 
         # Malformed JSON: exit 2.
         broken = write(tmp, "broken.json", "{not json")

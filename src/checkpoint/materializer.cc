@@ -28,15 +28,18 @@ Materializer::Materializer(Env* env, MaterializerOptions options)
 
 Materializer::~Materializer() { Drain(); }
 
-void Materializer::NotifyDurable(const CheckpointKey& key,
+void Materializer::NotifyDurable(const CheckpointKey* key,
                                  uint64_t stored_bytes) {
   std::vector<std::pair<CheckpointKey, uint64_t>> closed;
   {
     std::lock_guard<std::mutex> lock(gc_mu_);
-    gc_slot_.emplace_back(key, stored_bytes);
-    ++gc_stats_.joins;
-    if (static_cast<int>(gc_slot_.size()) < options_.group_commit_window)
-      return;
+    if (key != nullptr) {
+      gc_slot_.emplace_back(*key, stored_bytes);
+      ++gc_stats_.joins;
+      if (static_cast<int>(gc_slot_.size()) < options_.group_commit_window)
+        return;
+    }
+    if (gc_slot_.empty()) return;
     closed.swap(gc_slot_);
     ++gc_stats_.slots;
     ++gc_stats_.syncs;
@@ -45,22 +48,6 @@ void Materializer::NotifyDurable(const CheckpointKey& key,
   }
   // Deliver outside the slot lock: on_durable may block on the spooler's
   // bounded queue, and a stalled delivery must not wedge other joiners.
-  if (options_.on_durable) {
-    for (const auto& [k, bytes] : closed) options_.on_durable(k, bytes);
-  }
-}
-
-void Materializer::FlushGroupCommitSlot() {
-  std::vector<std::pair<CheckpointKey, uint64_t>> closed;
-  {
-    std::lock_guard<std::mutex> lock(gc_mu_);
-    if (gc_slot_.empty()) return;
-    closed.swap(gc_slot_);
-    ++gc_stats_.slots;
-    ++gc_stats_.syncs;
-    gc_stats_.max_slot_joins = std::max(
-        gc_stats_.max_slot_joins, static_cast<int64_t>(closed.size()));
-  }
   if (options_.on_durable) {
     for (const auto& [k, bytes] : closed) options_.on_durable(k, bytes);
   }
@@ -153,7 +140,7 @@ Result<MaterializeReceipt> Materializer::Materialize(
     // time (cost model path).
     std::string bytes = EncodeCheckpoint(snaps);
     FLOR_RETURN_IF_ERROR(store->PutBytes(key, bytes));
-    NotifyDurable(key, bytes.size());
+    NotifyDurable(&key, bytes.size());
 
     double bg_s = 0;
     auto [main_s, stall_s] = AccountSim(nominal, &bg_s);
@@ -167,7 +154,7 @@ Result<MaterializeReceipt> Materializer::Materialize(
     if (options_.strategy == MaterializeStrategy::kBaseline) {
       std::string bytes = EncodeCheckpoint(snaps);
       FLOR_RETURN_IF_ERROR(store->PutBytes(key, bytes));
-      NotifyDurable(key, bytes.size());
+      NotifyDurable(&key, bytes.size());
       receipt.main_thread_seconds = env_->clock()->NowSeconds() - start;
       receipt.background_seconds = 0;
     } else {
@@ -201,7 +188,7 @@ Result<MaterializeReceipt> Materializer::Materialize(
           FLOR_LOG(kError) << "background materialization failed: "
                            << s.ToString();
         } else {
-          NotifyDurable(key_copy, bytes.size());
+          NotifyDurable(&key_copy, bytes.size());
         }
       });
       receipt.main_thread_seconds = env_->clock()->NowSeconds() - start;
@@ -222,7 +209,7 @@ void Materializer::Drain() {
   // All store writes have landed; deliver the partial slot so every acked
   // checkpoint's notification has fired before Drain returns (the record
   // session spools and then persists the manifest on that guarantee).
-  FlushGroupCommitSlot();
+  NotifyDurable(nullptr);
   if (env_->clock()->is_simulated() && !inflight_completions_.empty()) {
     const double last = inflight_completions_.back();
     const double now = env_->clock()->NowSeconds();

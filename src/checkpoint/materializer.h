@@ -186,20 +186,14 @@ class Materializer {
   std::pair<double, double> AccountSim(uint64_t nominal_bytes,
                                        double* bg_seconds);
 
-  /// Group-commit entry point for one durably stored checkpoint: joins the
-  /// open slot and, when the slot reaches group_commit_window, delivers the
-  /// slot's on_durable notifications in store order (outside the slot lock,
-  /// so delivery may backpressure on the spooler without holding it).
-  /// Called inline on the training thread (sim / Baseline) or on the
-  /// background worker (wall mode) — same threads that invoked on_durable
-  /// directly before group commit existed.
-  void NotifyDurable(const CheckpointKey& key, uint64_t stored_bytes);
-
-  /// Delivers a partial slot at end of run (one more amortized sync when
-  /// non-empty). Drain() calls this after the queue join, preserving the
-  /// "every acked checkpoint's notification fired before Drain returns"
-  /// contract the record session relies on.
-  void FlushGroupCommitSlot();
+  /// The one group-commit routine. A durably stored checkpoint `key` joins
+  /// the open slot, which closes at group_commit_window; null (Drain, after
+  /// the queue join) closes a non-empty partial slot, so every acked
+  /// checkpoint's notification fires before Drain returns. A closed slot's
+  /// on_durable calls run in store order outside the slot lock (delivery
+  /// may backpressure on the spooler). Runs on the training thread (sim /
+  /// Baseline) or the background worker (wall mode).
+  void NotifyDurable(const CheckpointKey* key, uint64_t stored_bytes = 0);
 
   Env* env_;
   MaterializerOptions options_;

@@ -9,16 +9,19 @@ double S3MonthlyCost(uint64_t bytes) {
          kS3DollarsPerGBMonth;
 }
 
+SpoolReport& SpoolReport::operator+=(const SpoolReport& other) {
+  objects += other.objects;
+  bytes += other.bytes;
+  batches += other.batches;
+  retries += other.retries;
+  failed_objects += other.failed_objects;
+  if (first_error.empty()) first_error = other.first_error;
+  return *this;
+}
+
 SpoolReport AggregateSpoolReports(const std::vector<SpoolReport>& reports) {
   SpoolReport total;
-  for (const auto& r : reports) {
-    total.objects += r.objects;
-    total.bytes += r.bytes;
-    total.batches += r.batches;
-    total.retries += r.retries;
-    total.failed_objects += r.failed_objects;
-    if (total.first_error.empty()) total.first_error = r.first_error;
-  }
+  for (const auto& r : reports) total += r;
   total.monthly_cost_dollars = S3MonthlyCost(total.bytes);
   return total;
 }
@@ -123,13 +126,7 @@ void SpoolQueue::RunBatch(int shard, std::vector<Item> items) {
 
   ShardState& s = *shards_[static_cast<size_t>(shard)];
   std::lock_guard<std::mutex> lock(s.mu);
-  s.report.objects += delta.objects;
-  s.report.bytes += delta.bytes;
-  s.report.batches += delta.batches;
-  s.report.retries += delta.retries;
-  s.report.failed_objects += delta.failed_objects;
-  if (s.report.first_error.empty())
-    s.report.first_error = delta.first_error;
+  s.report += delta;
 }
 
 void SpoolQueue::Flush() {

@@ -41,6 +41,8 @@ struct SpoolReport {
   std::string first_error;     ///< first failure message (diagnostics)
 
   bool ok() const { return failed_objects == 0; }
+  /// Sums the counters, keeps the first error (cost is priced from bytes).
+  SpoolReport& operator+=(const SpoolReport& other);
 };
 
 /// Sums reports (per-shard -> store-wide); keeps the first error seen.

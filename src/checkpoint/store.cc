@@ -215,7 +215,7 @@ bool CheckpointStore::BloomRulesAbsent(const CheckpointKey& key) const {
           key.ToString())) {
     return false;
   }
-  bloom_skipped_probes_.fetch_add(1, std::memory_order_relaxed);
+  Count(&TierStats::bloom_skipped_probes);
   return true;
 }
 
@@ -246,7 +246,7 @@ Result<std::string> CheckpointStore::GetBytes(const CheckpointKey& key,
   auto local = fs_->ReadFile(local_path);
   if (local.ok() || !local.status().IsNotFound() || !has_bucket()) {
     if (!local.ok() && local.status().IsNotFound() && bloom_enabled())
-      bloom_false_positives_.fetch_add(1, std::memory_order_relaxed);
+      Count(&TierStats::bloom_false_positives);
     return local;
   }
 
@@ -259,12 +259,12 @@ Result<std::string> CheckpointStore::GetBytes(const CheckpointKey& key,
   if (!remote.ok()) {
     if (!remote.status().IsNotFound()) return remote;
     if (bloom_enabled())
-      bloom_false_positives_.fetch_add(1, std::memory_order_relaxed);
+      Count(&TierStats::bloom_false_positives);
     return Status::NotFound(
         StrCat("checkpoint ", key.ToString(), " missing in both tiers (",
                local_path, ", ", bucket_path, ")"));
   }
-  bucket_faults_.fetch_add(1, std::memory_order_relaxed);
+  Count(&TierStats::bucket_faults);
   if (from_bucket) *from_bucket = true;
 
   if (rehydrate_on_fault_) {
@@ -273,9 +273,9 @@ Result<std::string> CheckpointStore::GetBytes(const CheckpointKey& key,
     Shard& shard = *shards_[static_cast<size_t>(router_.ShardOf(key))];
     std::lock_guard<std::mutex> lock(shard.mu);
     if (fs_->WriteFile(local_path, *remote).ok())
-      rehydrated_objects_.fetch_add(1, std::memory_order_relaxed);
+      Count(&TierStats::rehydrated_objects);
     else
-      rehydrate_failures_.fetch_add(1, std::memory_order_relaxed);
+      Count(&TierStats::rehydrate_failures);
   }
   return remote;
 }
@@ -291,7 +291,7 @@ bool CheckpointStore::Exists(const CheckpointKey& key) const {
   if (fs_->Exists(PathFor(key))) return true;
   if (has_bucket() && fs_->Exists(BucketPathFor(key))) return true;
   if (bloom_enabled())
-    bloom_false_positives_.fetch_add(1, std::memory_order_relaxed);
+    Count(&TierStats::bloom_false_positives);
   return false;
 }
 
@@ -328,17 +328,20 @@ std::vector<ShardWriteStats> CheckpointStore::WriteStatsByShard() const {
   return out;
 }
 
+void CheckpointStore::Count(int64_t TierStats::*counter) const {
+  for (size_t i = 0; i < std::size(TierStats::kFields); ++i) {
+    if (TierStats::kFields[i].member == counter) {
+      tier_counts_[i].fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  }
+}
+
 TierStats CheckpointStore::tier_stats() const {
   TierStats stats;
-  stats.bucket_faults = bucket_faults_.load(std::memory_order_relaxed);
-  stats.rehydrated_objects =
-      rehydrated_objects_.load(std::memory_order_relaxed);
-  stats.rehydrate_failures =
-      rehydrate_failures_.load(std::memory_order_relaxed);
-  stats.bloom_skipped_probes =
-      bloom_skipped_probes_.load(std::memory_order_relaxed);
-  stats.bloom_false_positives =
-      bloom_false_positives_.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < std::size(TierStats::kFields); ++i)
+    stats.*TierStats::kFields[i].member =
+        tier_counts_[i].load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -15,6 +15,7 @@
 #define FLOR_CHECKPOINT_STORE_H_
 
 #include <atomic>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,6 +25,7 @@
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/shard.h"
 #include "common/bloom.h"
+#include "common/counters.h"
 #include "env/filesystem.h"
 
 namespace flor {
@@ -102,6 +104,18 @@ struct TierStats {
   /// every tier. Observed FPR over absent keys is
   /// false_positives / (false_positives + skipped_probes).
   int64_t bloom_false_positives = 0;
+
+  /// The counters above: the one list the merge rule, the store's live
+  /// counters and the worker-result codec (flor/replay_plan.h) iterate.
+  static constexpr CounterField<TierStats> kFields[] = {
+      {"bucket_faults", &TierStats::bucket_faults},
+      {"rehydrated_objects", &TierStats::rehydrated_objects},
+      {"rehydrate_failures", &TierStats::rehydrate_failures},
+      {"bloom_skipped_probes", &TierStats::bloom_skipped_probes},
+      {"bloom_false_positives", &TierStats::bloom_false_positives}};
+  TierStats& operator+=(const TierStats& other) {
+    return AddCounters(*this, other, kFields);
+  }
 };
 
 /// Read-tier selection shared by every replay entry point (ReplayOptions
@@ -283,20 +297,19 @@ class CheckpointStore {
   /// the skipped probe); false when filtering is off or the key may exist.
   bool BloomRulesAbsent(const CheckpointKey& key) const;
 
-  /// Bucket tier. Empty prefix means no bucket attached. Counters are
-  /// atomics so the read path stays lock-free.
+  /// Bucket tier. Empty prefix means no bucket attached.
   std::string bucket_prefix_;
   bool rehydrate_on_fault_ = true;
-  mutable std::atomic<int64_t> bucket_faults_{0};
-  mutable std::atomic<int64_t> rehydrated_objects_{0};
-  mutable std::atomic<int64_t> rehydrate_failures_{0};
 
   /// Per-shard bloom filters; empty when EnableBloom was never called.
   /// Filter bits are internally atomic, so the lock-free read path stays
   /// lock-free.
   std::vector<std::unique_ptr<BloomFilter>> filters_;
-  mutable std::atomic<int64_t> bloom_skipped_probes_{0};
-  mutable std::atomic<int64_t> bloom_false_positives_{0};
+
+  /// tier_stats(), one atomic per TierStats::kFields entry so the read
+  /// path stays lock-free; Count adds one to a counter.
+  mutable std::atomic<int64_t> tier_counts_[std::size(TierStats::kFields)]{};
+  void Count(int64_t TierStats::*counter) const;
 };
 
 /// A recorded run's store, opened over its manifest.

@@ -52,8 +52,8 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
   FLOR_RETURN_IF_ERROR(interp.Run(current_program, frame));
   result.runtime_seconds = env_->clock()->NowSeconds() - start;
 
-  result.bloom_skipped_probes = store_->tier_stats().bloom_skipped_probes;
-  result.restore_seconds = result_->restore_seconds;
+  // The store is this session's own: its counters are this worker's traffic.
+  result.tier = store_->tier_stats();
   result.observed_c =
       restore_ratio_count_ > 0
           ? restore_ratio_sum_ / static_cast<double>(restore_ratio_count_)
@@ -77,16 +77,12 @@ Status ReplaySession::RestoreSkipBlock(ir::Loop* loop,
                                        const CheckpointKey& key,
                                        exec::Frame* frame) {
   // result_ is only non-null while Run() is live, and RestoreSkipBlock is
-  // only reached through the interpreter Run() drives — it used to guard
-  // the timing accumulation on result_ but dereference the stats counter
-  // unconditionally six lines later. Make the invariant explicit instead
-  // of half-guarded.
+  // only reached through the interpreter Run() drives.
   FLOR_CHECK(result_ != nullptr)
       << "RestoreSkipBlock outside a live ReplaySession::Run";
   bool from_bucket = false;
   FLOR_ASSIGN_OR_RETURN(NamedSnapshots snaps,
                         store_->Get(key, &from_bucket));
-  if (from_bucket) ++result_->bucket_faults;
   for (const auto& [name, snap] : snaps) {
     if (!frame->Has(name)) {
       return Status::ReplayAnomaly(

@@ -85,11 +85,9 @@ struct ReplayResult {
   double restore_seconds = 0;
   /// Mean observed restore/materialize ratio (refines c, §5.3.2).
   double observed_c = 0;
-  /// Restores served by the bucket tier (local store miss, bucket hit).
-  int64_t bucket_faults = 0;
-  /// Store lookups the bloom filter answered definite-miss without
-  /// touching a shard (0 when ReplayOptions::bloom_filter is off).
-  int64_t bloom_skipped_probes = 0;
+  /// Read-tier traffic of this worker's store: restores the bucket tier
+  /// served, their write-backs, and the lookups the bloom filter answered.
+  TierStats tier;
 };
 
 /// Executes one replay worker. Single-use.

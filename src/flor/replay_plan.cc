@@ -172,12 +172,10 @@ std::string EncodeWorkerResult(const ReplayResult& result) {
   AppendMetaInt(&meta, "active_workers", result.active_workers);
   AppendMetaInt(&meta, "work_begin", result.work_begin);
   AppendMetaInt(&meta, "work_end", result.work_end);
-  AppendMetaInt(&meta, "sb_executed", result.skipblocks.executed);
-  AppendMetaInt(&meta, "sb_skipped", result.skipblocks.skipped);
-  AppendMetaInt(&meta, "sb_restores", result.skipblocks.restores);
-  AppendMetaInt(&meta, "sb_materialized", result.skipblocks.materialized);
-  AppendMetaInt(&meta, "bucket_faults", result.bucket_faults);
-  AppendMetaInt(&meta, "bloom_skipped_probes", result.bloom_skipped_probes);
+  for (const auto& f : SkipBlockStats::kFields)
+    AppendMetaInt(&meta, f.name, result.skipblocks.*f.member);
+  for (const auto& f : TierStats::kFields)
+    AppendMetaInt(&meta, f.name, result.tier.*f.member);
   AppendMetaInt(&meta, "preamble_probed",
                 result.probes.preamble_probed ? 1 : 0);
 
@@ -241,14 +239,12 @@ Result<ReplayResult> DecodeWorkerResult(const std::string& data) {
   out.active_workers = static_cast<int>(active);
   FLOR_ASSIGN_OR_RETURN(out.work_begin, take_int("work_begin"));
   FLOR_ASSIGN_OR_RETURN(out.work_end, take_int("work_end"));
-  FLOR_ASSIGN_OR_RETURN(out.skipblocks.executed, take_int("sb_executed"));
-  FLOR_ASSIGN_OR_RETURN(out.skipblocks.skipped, take_int("sb_skipped"));
-  FLOR_ASSIGN_OR_RETURN(out.skipblocks.restores, take_int("sb_restores"));
-  FLOR_ASSIGN_OR_RETURN(out.skipblocks.materialized,
-                        take_int("sb_materialized"));
-  FLOR_ASSIGN_OR_RETURN(out.bucket_faults, take_int("bucket_faults"));
-  FLOR_ASSIGN_OR_RETURN(out.bloom_skipped_probes,
-                        take_int("bloom_skipped_probes"));
+  for (const auto& f : SkipBlockStats::kFields) {
+    FLOR_ASSIGN_OR_RETURN(out.skipblocks.*f.member, take_int(f.name));
+  }
+  for (const auto& f : TierStats::kFields) {
+    FLOR_ASSIGN_OR_RETURN(out.tier.*f.member, take_int(f.name));
+  }
   FLOR_ASSIGN_OR_RETURN(const int64_t preamble,
                         take_int("preamble_probed"));
   out.probes.preamble_probed = preamble != 0;
@@ -298,11 +294,8 @@ Result<MergedClusterReplay> MergePartitions(
     out.probe_entries.insert(out.probe_entries.end(),
                              wres.probe_entries.begin(),
                              wres.probe_entries.end());
-    out.skipblocks.executed += wres.skipblocks.executed;
-    out.skipblocks.skipped += wres.skipblocks.skipped;
-    out.skipblocks.restores += wres.skipblocks.restores;
-    out.bucket_faults += wres.bucket_faults;
-    out.bloom_skipped_probes += wres.bloom_skipped_probes;
+    out.skipblocks += wres.skipblocks;
+    out.tier += wres.tier;
   }
   out.latency_seconds = *std::max_element(out.worker_seconds.begin(),
                                           out.worker_seconds.end());

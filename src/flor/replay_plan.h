@@ -89,10 +89,8 @@ struct MergedClusterReplay {
   std::vector<exec::LogEntry> probe_entries;
   DeferredCheckReport deferred;
   SkipBlockStats skipblocks;
-  /// Total restores served by the bucket tier across workers.
-  int64_t bucket_faults = 0;
-  /// Total store lookups the workers' bloom filters short-circuited.
-  int64_t bloom_skipped_probes = 0;
+  /// Read-tier traffic summed over the workers' stores.
+  TierStats tier;
 };
 
 /// How a runner executed the partitions. Each runner fills only its own
@@ -182,7 +180,8 @@ Result<PartitionedReplayResult> RunPartitionedReplay(
 /// CRC-framed result file (env/result_file.h) and the parent decode it
 /// back into the exact ReplayResult an in-process worker would have handed
 /// RunPartitionedReplay. The round trip is lossless: doubles travel as
-/// hexfloat, log fragments via LogStream's line encoding.
+/// hexfloat, log fragments via LogStream's line encoding, and every
+/// SkipBlockStats and TierStats counter under its kFields name.
 std::string EncodeWorkerResult(const ReplayResult& result);
 
 /// Inverse of EncodeWorkerResult. Truncated or mutated bytes fail with

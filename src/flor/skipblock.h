@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "ir/program.h"
 
@@ -37,6 +38,17 @@ struct SkipBlockStats {
   int64_t restores = 0;   ///< checkpoint loads (== skipped, kept separate
                           ///< for future multi-checkpoint restores)
   int64_t materialized = 0;
+
+  /// The counters above under their worker-result keys: the one list the
+  /// merge rule and the worker-result codec iterate.
+  static constexpr CounterField<SkipBlockStats> kFields[] = {
+      {"sb_executed", &SkipBlockStats::executed},
+      {"sb_skipped", &SkipBlockStats::skipped},
+      {"sb_restores", &SkipBlockStats::restores},
+      {"sb_materialized", &SkipBlockStats::materialized}};
+  SkipBlockStats& operator+=(const SkipBlockStats& other) {
+    return AddCounters(*this, other, kFields);
+  }
 };
 
 /// One freshly built, runnable copy of a training script: the program

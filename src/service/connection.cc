@@ -166,16 +166,13 @@ Result<std::unique_ptr<Session>> Connection::OpenSession(
     std::lock_guard<std::mutex> lock(mu_);
     if (closing_)
       return Status::Unavailable("connection is closed to new work");
-    ++stats_.sessions_opened;
     ++GateLocked(tenant)->stats.sessions_opened;
   }
   return std::unique_ptr<Session>(new Session(this, tenant));
 }
 
 Connection::TenantGate* Connection::GateLocked(const std::string& tenant) {
-  auto it = gates_.find(tenant);
-  if (it == gates_.end()) it = gates_.try_emplace(tenant, tenant).first;
-  return &it->second;
+  return &gates_[tenant];
 }
 
 bool Connection::GlobalSlotFreeLocked() const {
@@ -185,16 +182,24 @@ bool Connection::GlobalSlotFreeLocked() const {
 
 bool Connection::TenantSlotFreeLocked(const TenantGate& gate) const {
   return options_.max_records_per_tenant <= 0 ||
-         gate.stats.active_records < options_.max_records_per_tenant;
+         gate.active_records < options_.max_records_per_tenant;
 }
 
 void Connection::AdmitLocked(TenantGate* gate) {
   ++active_records_;
-  stats_.max_observed_records =
-      std::max(stats_.max_observed_records, active_records_);
-  ++gate->stats.active_records;
-  gate->stats.max_observed_records = std::max(
-      gate->stats.max_observed_records, gate->stats.active_records);
+  max_observed_records_ = std::max(max_observed_records_, active_records_);
+  ++gate->active_records;
+  gate->stats.max_observed_records =
+      std::max(gate->stats.max_observed_records, gate->active_records);
+}
+
+void Connection::TallyAdmissionWaitLocked(TenantGate* gate, double seconds) {
+  TenantStats& t = gate->stats;
+  ++t.admission_waits;
+  t.admission_wait_seconds += seconds;
+  t.max_admission_wait_seconds =
+      std::max(t.max_admission_wait_seconds, seconds);
+  ++t.starved_wait_hist[static_cast<size_t>(StarvedWaitBucket(seconds))];
 }
 
 void Connection::GrantSlotsLocked() {
@@ -261,15 +266,8 @@ Status Connection::AcquireRecordSlot(const std::string& tenant,
     }
     AdmitLocked(gate);
     if (waited) {
-      const double secs = SecondsSince(start);
-      *waited_seconds = secs;
-      ++stats_.admission_waits;
-      ++gate->stats.admission_waits;
-      gate->stats.admission_wait_seconds += secs;
-      gate->stats.max_admission_wait_seconds =
-          std::max(gate->stats.max_admission_wait_seconds, secs);
-      ++gate->stats.starved_wait_hist[static_cast<size_t>(
-          StarvedWaitBucket(secs))];
+      *waited_seconds = SecondsSince(start);
+      TallyAdmissionWaitLocked(gate, *waited_seconds);
     }
     return Status::OK();
   }
@@ -305,15 +303,8 @@ Status Connection::AcquireRecordSlot(const std::string& tenant,
         "connection closed while waiting for admission");
   }
   --gate->tokens;
-  const double secs = SecondsSince(start);
-  *waited_seconds = secs;
-  ++stats_.admission_waits;
-  ++gate->stats.admission_waits;
-  gate->stats.admission_wait_seconds += secs;
-  gate->stats.max_admission_wait_seconds =
-      std::max(gate->stats.max_admission_wait_seconds, secs);
-  ++gate->stats.starved_wait_hist[static_cast<size_t>(
-      StarvedWaitBucket(secs))];
+  *waited_seconds = SecondsSince(start);
+  TallyAdmissionWaitLocked(gate, *waited_seconds);
   return Status::OK();
 }
 
@@ -321,7 +312,7 @@ void Connection::ReleaseRecordSlot(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mu_);
   TenantGate* gate = GateLocked(tenant);
   --active_records_;
-  --gate->stats.active_records;
+  --gate->active_records;
   if (options_.fair_admission) {
     GrantSlotsLocked();
   } else {
@@ -354,55 +345,28 @@ void Connection::ScheduleRetirement(const std::string& tenant,
                      ckpt_prefix);
     }
     std::lock_guard<std::mutex> lock(mu_);
-    TenantGate* gate = GateLocked(tenant);
+    TenantStats& t = GateLocked(tenant)->stats;
     if (error.empty()) {
-      ++stats_.gc_passes;
-      ++gate->stats.gc_passes;
-    } else {
-      ++stats_.gc_failures;
-      ++gate->stats.gc_failures;
-      stats_.last_gc_error =
-          StrCat("tenant ", tenant, " run ", run, ": ", error);
-      if (stats_.recent_gc_errors.size() >= kGcErrorRingCapacity) {
-        stats_.recent_gc_errors.erase(stats_.recent_gc_errors.begin());
-      }
-      stats_.recent_gc_errors.push_back(GcFailure{tenant, run, error});
+      ++t.gc_passes;
+      return;
     }
+    ++t.gc_failures;
+    last_gc_error_ = StrCat("tenant ", tenant, " run ", run, ": ", error);
+    if (recent_gc_errors_.size() >= kGcErrorRingCapacity)
+      recent_gc_errors_.erase(recent_gc_errors_.begin());
+    recent_gc_errors_.push_back(GcFailure{tenant, run, error});
   });
 }
 
-void Connection::BumpQuery(const std::string& tenant) {
+void Connection::Account(const std::string& tenant,
+                         int64_t ServiceCounters::*call, const TierStats& tier,
+                         const SpoolReport& spool) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.queries_served;
-  ++GateLocked(tenant)->stats.queries_served;
-}
-
-void Connection::BumpReplay(const std::string& tenant, int64_t bucket_faults,
-                            int64_t bloom_skipped_probes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.replays_completed;
-  TenantGate* gate = GateLocked(tenant);
-  ++gate->stats.replays_completed;
-  gate->stats.bucket_faults += bucket_faults;
-  gate->stats.bloom_skipped_probes += bloom_skipped_probes;
-}
-
-void Connection::BumpRecord(const std::string& tenant, int64_t spool_objects,
-                            int64_t spool_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.records_completed;
-  TenantGate* gate = GateLocked(tenant);
-  ++gate->stats.records_completed;
-  gate->stats.spool_objects += spool_objects;
-  gate->stats.spool_bytes += spool_bytes;
-}
-
-void Connection::AccountTier(const std::string& tenant,
-                             const TierStats& delta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TenantGate* gate = GateLocked(tenant);
-  gate->stats.bucket_faults += delta.bucket_faults;
-  gate->stats.bloom_skipped_probes += delta.bloom_skipped_probes;
+  TenantStats& t = GateLocked(tenant)->stats;
+  ++(t.*call);
+  static_cast<TierStats&>(t) += tier;
+  t.spool_objects += spool.objects;
+  t.spool_bytes += static_cast<int64_t>(spool.bytes);
 }
 
 Result<GcReport> Connection::RetireBucket(const std::string& tenant,
@@ -442,10 +406,15 @@ Result<ReconcileReport> Connection::Reconcile(const std::string& tenant,
 
 ConnectionStats Connection::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  ConnectionStats snapshot = stats_;
+  ConnectionStats snapshot;
+  snapshot.max_observed_records = max_observed_records_;
   snapshot.active_records = active_records_;
-  for (const auto& entry : gates_) {
-    snapshot.tenants[entry.first] = entry.second.stats;
+  snapshot.last_gc_error = last_gc_error_;
+  snapshot.recent_gc_errors = recent_gc_errors_;
+  for (const auto& [tenant, gate] : gates_) {
+    TenantStats& slice = snapshot.tenants[tenant] = gate.stats;
+    slice.active_records = gate.active_records;
+    snapshot += slice;  // the totals are the sum of the slices
   }
   return snapshot;
 }

@@ -326,17 +326,13 @@ wire::Response Server::Dispatch(const wire::Request& req) {
       auto rec = session->Record(req.run, resolved->factory,
                                  resolved->record);
       if (!rec.ok()) return wire::ErrorResponse(rec.status());
-      auto prefix = session->RunPrefix(req.run);
-      if (!prefix.ok()) return wire::ErrorResponse(prefix.status());
-      const RunPaths paths(*prefix);
-      auto manifest = conn_->env()->fs()->ReadFile(paths.Manifest());
-      if (!manifest.ok()) return wire::ErrorResponse(manifest.status());
       wire::RecordReply reply;
       reply.checkpoints =
           static_cast<int64_t>(rec->manifest.records.size());
       reply.runtime_seconds = rec->runtime_seconds;
       reply.admission_wait_seconds = rec->admission_wait_seconds;
-      reply.manifest = std::move(*manifest);
+      // As recorded: a retirement pass may already be rewriting the file.
+      reply.manifest = rec->manifest.Serialize();
       return wire::MakeRecordReply(reply);
     }
 
@@ -356,8 +352,8 @@ wire::Response Server::Dispatch(const wire::Request& req) {
     reply.workers_used = rep->workers_used;
     reply.latency_seconds = rep->latency_seconds;
     reply.wall_seconds = rep->wall_seconds;
-    reply.bucket_faults = rep->bucket_faults;
-    reply.bloom_skipped_probes = rep->bloom_skipped_probes;
+    reply.bucket_faults = rep->tier.bucket_faults;
+    reply.bloom_skipped_probes = rep->tier.bloom_skipped_probes;
     reply.deferred_ok = rep->deferred.ok;
     reply.merged_logs = rep->merged_logs.Serialize();
     return wire::MakeReplayReply(reply);

@@ -2,35 +2,33 @@
 // front-end (WiredTiger's connection/session split, applied to Flor).
 //
 // Everything below this layer is one-shot: a RecordSession records and
-// exits, a partitioned replay (RunPartitionedReplay) replays and exits,
-// each opening its own CheckpointStore and SpoolQueue. A long-running service inverts that
-// ownership:
+// exits, a partitioned replay (RunPartitionedReplay) replays and exits. A
+// long-running service inverts that ownership:
 //
 //   * flor::Connection — opened once per process. Owns the shared
 //     infrastructure: the tier configuration every store open uses
 //     (bucket mirror + bloom filters, TierOptions), the single shared
 //     SpoolQueue all record sessions spool through (shard-batched, with
 //     backpressure via SpoolOptions::max_queued_batches), admission
-//     control over concurrent recorders, and the background GC worker
-//     that retires checkpoints after record sessions finish — demoting
-//     to the bucket tier when one is attached, racing live readers
-//     safely (the tiered-store fall-through contract).
+//     control over concurrent recorders, the background GC worker that
+//     retires checkpoints after record sessions finish (demoting to the
+//     bucket tier when one is attached, racing live readers safely), and
+//     the service counters: one ServiceCounters/TierStats slice per
+//     tenant, whose sum is the connection total.
 //   * flor::Session — a lightweight per-tenant handle from
 //     Connection::OpenSession. Record / Replay / Query / Exists calls
 //     map the tenant namespace onto run prefixes
 //     ("<root>/<tenant>/<run>"), so tenants can never observe each
-//     other's runs or checkpoint keys through any tier — local shards,
-//     bucket fall-through, or the bloom fast path.
+//     other's runs or checkpoint keys through any tier.
 //
 // Thread-safety follows WiredTiger: a Connection is fully thread-safe
 // and meant to be shared; a Session is a cheap single-threaded handle —
-// open one per thread. The one-shot entry points (RecordSession,
-// RunPartitionedReplay) remain as the compat surface and share this
-// layer's internals: a session's RecordOptions is its SessionRecordOptions
-// plus the connection's run prefix, shard count, bucket prefix and spool
-// queue (RecordOptions::spool), stores open through CheckpointStore::Open
-// with the connection's TierOptions, and retirement runs through RetireRun
-// — so both paths stay byte-identical.
+// open one per thread. The one-shot entry points share this layer's
+// internals: a session's RecordOptions is its SessionRecordOptions plus
+// the connection's run prefix, shard count, bucket prefix and spool queue,
+// stores open through CheckpointStore::Open with the connection's
+// TierOptions, and retirement runs through RetireRun — so both paths stay
+// byte-identical.
 
 #ifndef FLOR_SERVICE_SERVICE_H_
 #define FLOR_SERVICE_SERVICE_H_
@@ -48,6 +46,7 @@
 #include "checkpoint/gc.h"
 #include "checkpoint/spool.h"
 #include "checkpoint/store.h"
+#include "common/counters.h"
 #include "env/background_queue.h"
 #include "env/env.h"
 #include "flor/query.h"
@@ -118,19 +117,46 @@ inline constexpr int kStarvedWaitBucketCount = 6;
 /// Bucket index for an admission wait of `seconds`.
 int StarvedWaitBucket(double seconds);
 
-/// Per-tenant slice of the service counters
-/// (ConnectionStats::tenants). A tenant appears once any of its
-/// sessions touches the connection.
-struct TenantStats {
+/// The service's call and retirement counters, declared once: the
+/// connection increments each on the tenant's slice (TenantStats), and
+/// its totals (ConnectionStats) are the sum of the slices.
+struct ServiceCounters {
   int64_t sessions_opened = 0;
   int64_t records_completed = 0;
   int64_t replays_completed = 0;
+  /// Query-surface calls served (ListRuns / FindRuns / MetricSeries /
+  /// Exists).
   int64_t queries_served = 0;
-  /// Record calls that blocked on the admission gate.
+  /// Record calls that blocked on the admission gate before starting.
   int64_t admission_waits = 0;
+  /// Background retirement passes completed / failed. A pass that leaves
+  /// failed deletes behind is a failure: its orphans are what an operator
+  /// needs to see.
+  int64_t gc_passes = 0;
+  int64_t gc_failures = 0;
+
+  static constexpr CounterField<ServiceCounters> kFields[] = {
+      {"sessions_opened", &ServiceCounters::sessions_opened},
+      {"records_completed", &ServiceCounters::records_completed},
+      {"replays_completed", &ServiceCounters::replays_completed},
+      {"queries_served", &ServiceCounters::queries_served},
+      {"admission_waits", &ServiceCounters::admission_waits},
+      {"gc_passes", &ServiceCounters::gc_passes},
+      {"gc_failures", &ServiceCounters::gc_failures}};
+  ServiceCounters& operator+=(const ServiceCounters& other) {
+    return AddCounters(*this, other, kFields);
+  }
+};
+
+/// Per-tenant slice of the service counters (ConnectionStats::tenants),
+/// with the read-tier traffic (TierStats: bucket faults, bloom
+/// short-circuits, ...) of this tenant's replays and Exists probes. A
+/// tenant appears once any of its sessions touches the connection.
+struct TenantStats : ServiceCounters, TierStats {
   /// High-water mark of this tenant's concurrently executing records —
   /// under fair admission never exceeds max_records_per_tenant.
   int max_observed_records = 0;
+  /// This tenant's records executing at snapshot time.
   int active_records = 0;
   /// Total / worst admission-gate wait, and the starved-wait histogram
   /// (one count per blocked Record call, bucketed by wait duration).
@@ -141,12 +167,6 @@ struct TenantStats {
   /// populated when a bucket tier is attached).
   int64_t spool_objects = 0;
   int64_t spool_bytes = 0;
-  /// Read-tier traffic from this tenant's replays and Exists probes.
-  int64_t bucket_faults = 0;
-  int64_t bloom_skipped_probes = 0;
-  /// Background retirement passes for this tenant's runs.
-  int64_t gc_passes = 0;
-  int64_t gc_failures = 0;
 };
 
 /// One background-GC failure, tenant-attributed
@@ -157,29 +177,17 @@ struct GcFailure {
   std::string error;
 };
 
-/// Point-in-time service counters (Connection::stats()).
-struct ConnectionStats {
-  int64_t sessions_opened = 0;
-  int64_t records_completed = 0;
-  int64_t replays_completed = 0;
-  /// Query-surface calls served (ListRuns / FindRuns / MetricSeries /
-  /// Exists).
-  int64_t queries_served = 0;
-  /// Record calls that blocked on the admission gate before starting.
-  int64_t admission_waits = 0;
+/// Point-in-time service counters (Connection::stats()). The
+/// ServiceCounters totals are the sums of the tenant slices; the fields
+/// below are connection-wide.
+struct ConnectionStats : ServiceCounters {
   /// High-water mark of concurrently executing record sessions.
   int max_observed_records = 0;
   /// Record sessions executing right now (point-in-time; lets a caller
   /// observe that a record is genuinely in flight).
   int active_records = 0;
-  /// Background retirement passes completed / failed. The last failure
-  /// message is in last_gc_error; the most recent kGcErrorRingCapacity
-  /// failures survive (tenant-attributed, oldest first) in
-  /// recent_gc_errors. A pass that leaves failed deletes behind counts
-  /// as a failure even when the report itself decodes — orphaned local
-  /// checkpoints are exactly what an operator needs to see.
-  int64_t gc_passes = 0;
-  int64_t gc_failures = 0;
+  /// The last GC failure message, and the most recent
+  /// kGcErrorRingCapacity failures (tenant-attributed, oldest first).
   std::string last_gc_error;
   std::vector<GcFailure> recent_gc_errors;
   /// Per-tenant breakdowns, keyed by tenant name.
@@ -263,12 +271,12 @@ class Connection {
   /// woken waiter consumes the token without re-checking capacity — so
   /// a freed slot can never be stolen by a barging arrival.
   struct TenantGate {
-    explicit TenantGate(std::string n) : name(std::move(n)) {}
-    std::string name;
-    int waiting = 0;  ///< blocked Record calls
-    int tokens = 0;   ///< granted-but-unconsumed slots
+    int active_records = 0;  ///< admitted, still executing
+    int waiting = 0;         ///< blocked Record calls
+    int tokens = 0;          ///< granted-but-unconsumed slots
     bool in_ring = false;
     std::condition_variable cv;
+    /// This tenant's slice; active_records is copied in at snapshot time.
     TenantStats stats;
   };
 
@@ -303,6 +311,8 @@ class Connection {
   bool GlobalSlotFreeLocked() const;
   bool TenantSlotFreeLocked(const TenantGate& gate) const;
   void AdmitLocked(TenantGate* gate);
+  /// Charges one blocked Record call of `seconds` to the gate's tenant.
+  void TallyAdmissionWaitLocked(TenantGate* gate, double seconds);
   TenantGate* GateLocked(const std::string& tenant);
 
   /// Queues a background retirement pass for a finished run (no-op when
@@ -311,13 +321,12 @@ class Connection {
                           const std::string& manifest_path,
                           const std::string& ckpt_prefix);
 
-  void BumpQuery(const std::string& tenant);
-  void BumpReplay(const std::string& tenant, int64_t bucket_faults,
-                  int64_t bloom_skipped_probes);
-  void BumpRecord(const std::string& tenant, int64_t spool_objects,
-                  int64_t spool_bytes);
-  /// Read-tier deltas from an Exists probe.
-  void AccountTier(const std::string& tenant, const TierStats& delta);
+  /// Charges one session call to `tenant`'s slice: one more `call`
+  /// (records_completed, replays_completed or queries_served) plus the
+  /// read-tier and spool traffic the call caused.
+  void Account(const std::string& tenant, int64_t ServiceCounters::*call,
+               const TierStats& tier = TierStats(),
+               const SpoolReport& spool = SpoolReport());
 
   /// True while any record session is executing (guards the synchronous
   /// maintenance entry points).
@@ -341,7 +350,11 @@ class Connection {
   int active_records_ = 0;
   int in_flight_ops_ = 0;
   bool closing_ = false;
-  ConnectionStats stats_;
+  /// The connection-wide part of ConnectionStats; the counters live on
+  /// the tenant slices in gates_.
+  int max_observed_records_ = 0;
+  std::string last_gc_error_;
+  std::vector<GcFailure> recent_gc_errors_;
 };
 
 /// Per-call replay knobs: engine choice, worker count, scratch dir. The

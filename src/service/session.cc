@@ -73,9 +73,8 @@ Result<SessionRecordResult> Session::Record(
   conn_->ReleaseRecordSlot(tenant_);
   if (!result.ok()) return result.status();
 
-  conn_->BumpRecord(tenant_,
-                    static_cast<int64_t>(result->spool_report.objects),
-                    static_cast<int64_t>(result->spool_report.bytes));
+  conn_->Account(tenant_, &ServiceCounters::records_completed, TierStats(),
+                 result->spool_report);
   const RunPaths paths(prefix);
   conn_->ScheduleRetirement(tenant_, run, paths.Manifest(),
                             paths.CkptPrefix());
@@ -144,14 +143,14 @@ Result<SessionReplayResult> Session::Replay(
     out.wall_seconds = replayed.wall_seconds;
   }
   static_cast<MergedClusterReplay&>(out) = std::move(replayed);
-  conn_->BumpReplay(tenant_, out.bucket_faults, out.bloom_skipped_probes);
+  conn_->Account(tenant_, &ServiceCounters::replays_completed, out.tier);
   return out;
 }
 
 Result<std::vector<RunInfo>> Session::Query() const {
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
-  conn_->BumpQuery(tenant_);
+  conn_->Account(tenant_, &ServiceCounters::queries_served);
   return ListRuns(conn_->env()->fs(), conn_->TenantRoot(tenant_));
 }
 
@@ -159,7 +158,7 @@ Result<std::vector<RunInfo>> Session::Query(
     const RunPredicate& predicate) const {
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
-  conn_->BumpQuery(tenant_);
+  conn_->Account(tenant_, &ServiceCounters::queries_served);
   return FindRuns(conn_->env()->fs(), conn_->TenantRoot(tenant_),
                   predicate);
 }
@@ -169,7 +168,7 @@ Result<std::vector<double>> Session::MetricSeries(
   FLOR_ASSIGN_OR_RETURN(const std::string prefix, RunPrefix(run));
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
-  conn_->BumpQuery(tenant_);
+  conn_->Account(tenant_, &ServiceCounters::queries_served);
   return flor::MetricSeries(conn_->env()->fs(), prefix, label);
 }
 
@@ -187,13 +186,13 @@ Result<bool> Session::Exists(const std::string& run,
                              const CheckpointKey& key) const {
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
-  conn_->BumpQuery(tenant_);
-  FLOR_ASSIGN_OR_RETURN(std::unique_ptr<CheckpointStore> store,
-                        OpenRunStore(run));
-  Result<bool> exists = store->Exists(key);
+  auto store = OpenRunStore(run);
   // The store is opened fresh per probe, so its tier stats are exactly
-  // this call's read-tier traffic.
-  conn_->AccountTier(tenant_, store->tier_stats());
+  // this call's read-tier traffic. Probing a missing run is still a query.
+  const bool exists = store.ok() && (*store)->Exists(key);
+  conn_->Account(tenant_, &ServiceCounters::queries_served,
+                 store.ok() ? (*store)->tier_stats() : TierStats());
+  if (!store.ok()) return store.status();
   return exists;
 }
 

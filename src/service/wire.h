@@ -90,8 +90,9 @@ Result<Response> DecodeResponse(const std::string& message);
 /// The error-shaped response for `status` (no payload).
 Response ErrorResponse(const Status& status);
 
-/// record: manifest bytes travel verbatim (byte-identical to the
-/// manifest file an in-process Session::Record leaves behind).
+/// record: the manifest as recorded, before any retirement pass prunes
+/// it — byte-identical to the manifest file an in-process Session::Record
+/// writes.
 struct RecordReply {
   int64_t checkpoints = 0;
   double runtime_seconds = 0;

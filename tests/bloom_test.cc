@@ -271,8 +271,8 @@ TEST(BloomReplay, FilteredReplayMatchesFilterlessByteForByte) {
   EXPECT_EQ(filtered.runtime_seconds, plain.runtime_seconds);
   EXPECT_EQ(filtered.skipblocks.skipped, plain.skipblocks.skipped);
   EXPECT_TRUE(filtered.deferred.ok);
-  EXPECT_EQ(plain.bloom_skipped_probes, 0);
-  EXPECT_GE(filtered.bloom_skipped_probes, 0);
+  EXPECT_EQ(plain.tier.bloom_skipped_probes, 0);
+  EXPECT_GE(filtered.tier.bloom_skipped_probes, 0);
 }
 
 // --- Concurrency (tsan label) ----------------------------------------------

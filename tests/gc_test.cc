@@ -453,14 +453,14 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
       MakeWorkloadFactory(profile, kProbeInner), &fs, plan, SimRunner());
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
-  EXPECT_GT(sim_result->bucket_faults, 0);
+  EXPECT_GT(sim_result->tier.bucket_faults, 0);
 
   auto real_result =
       RunPartitionedReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
                            plan, exec::ThreadRunner(4));
   ASSERT_TRUE(real_result.ok()) << real_result.status().ToString();
   EXPECT_TRUE(real_result->deferred.ok);
-  EXPECT_EQ(real_result->bucket_faults, sim_result->bucket_faults);
+  EXPECT_EQ(real_result->tier.bucket_faults, sim_result->tier.bucket_faults);
   EXPECT_EQ(real_result->merged_logs.Serialize(),
             sim_result->merged_logs.Serialize());
 }

@@ -214,13 +214,13 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   auto sim_result = Replay(&fs, profile, demoted, SimRunner());
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
-  EXPECT_GT(sim_result->bucket_faults, 0);
+  EXPECT_GT(sim_result->tier.bucket_faults, 0);
   EXPECT_EQ(sim_result->merged_logs.Serialize(), baseline);
 
   auto threaded = Replay(&fs, profile, demoted, exec::ThreadRunner(4));
   ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
   EXPECT_TRUE(threaded->deferred.ok);
-  EXPECT_GT(threaded->bucket_faults, 0);
+  EXPECT_GT(threaded->tier.bucket_faults, 0);
   EXPECT_EQ(threaded->merged_logs.Serialize(), baseline);
 
   auto proc = Replay(&fs, profile, demoted, exec::ForkRunner());
@@ -231,7 +231,7 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   EXPECT_EQ(proc->merged_logs.Serialize(), baseline);
   // The fault count crossed the process boundary through the framed
   // result files and matches the same-plan thread engine exactly.
-  EXPECT_EQ(proc->bucket_faults, threaded->bucket_faults);
+  EXPECT_EQ(proc->tier.bucket_faults, threaded->tier.bucket_faults);
 }
 
 TEST_F(ProcessReplayTest, SkewedPartitionsStress) {

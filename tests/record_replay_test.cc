@@ -277,7 +277,7 @@ TEST(Replay, RestoreAccountingMovesTogether) {
   EXPECT_GT(result->skipblocks.restores, 0);
   EXPECT_GT(result->restore_seconds, 0);
   EXPECT_GT(result->observed_c, 0);
-  EXPECT_EQ(result->bucket_faults, 0);
+  EXPECT_EQ(result->tier.bucket_faults, 0);
 }
 
 TEST(Replay, ObservedCMatchesCostModel) {

@@ -438,6 +438,63 @@ TEST_F(ServerTest, SocketRoundTripMatchesInProcessSession) {
   EXPECT_EQ(stats.unavailable_refusals, 0);
 }
 
+TEST_F(ServerTest, RecordReplyCarriesTheManifestAsRecorded) {
+  // With local retention on and no bucket tier, the background GC pass
+  // prunes and rewrites manifest.tsv right after each record. The reply
+  // must still carry the manifest the record produced — every checkpoint
+  // it counts — not whichever version of the file is on disk.
+  const WorkloadProfile profile = ServerProfile();
+  ConnectionOptions copts;
+  copts.root = "svc";
+  copts.ckpt_shards = profile.ckpt_shards;
+  copts.gc.keep_last_k = 1;
+
+  MemFileSystem fs_direct;
+  Env env_direct = testutil::MakeSimEnv(&fs_direct);
+  auto direct_conn = Connection::Open(&env_direct, copts);
+  ASSERT_TRUE(direct_conn.ok()) << direct_conn.status().ToString();
+  auto direct_session = (*direct_conn)->OpenSession("alice");
+  ASSERT_TRUE(direct_session.ok());
+
+  MemFileSystem fs_srv;
+  Env env_srv = testutil::MakeSimEnv(&fs_srv);
+  auto conn = Connection::Open(&env_srv, copts);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  ServerOptions sopts;
+  sopts.unix_path = SocketPath();
+  sopts.resolve_workload = ServerResolver(profile);
+  auto server = Server::Start(conn->get(), sopts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = WireClient::ConnectUnix((*server)->unix_path());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  for (const char* run : {"r1", "r2", "r3"}) {
+    auto direct_rec =
+        (*direct_session)
+            ->Record(run, MakeWorkloadFactory(profile, kProbeNone),
+                     ServerRecordOptions(profile));
+    ASSERT_TRUE(direct_rec.ok()) << direct_rec.status().ToString();
+
+    wire::Request req;
+    req.op = "record";
+    req.tenant = "alice";
+    req.run = run;
+    req.workload = "svc";
+    auto res = client->Call(req);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    auto reply = wire::ParseRecordReply(*res);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    auto manifest = Manifest::Deserialize(reply->manifest);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    EXPECT_EQ(static_cast<int64_t>(manifest->records.size()),
+              reply->checkpoints)
+        << run;
+    EXPECT_EQ(reply->manifest, direct_rec->manifest.Serialize()) << run;
+  }
+  (*conn)->DrainBackground();
+  EXPECT_GT((*conn)->stats().gc_passes, 0);
+}
+
 TEST_F(ServerTest, TypedErrorsKeepTheConnectionUsable) {
   const WorkloadProfile profile = ServerProfile(/*epochs=*/4);
   MemFileSystem fs;

@@ -431,8 +431,11 @@ TEST(ServiceTest, MaintenanceRequiresQuiescence) {
 
 // --- Wire-format guard: the options dedup (TierOptions bases) must not
 // --- move a byte of the process-worker result encoding. Golden captured
-// --- from the pre-refactor encoder; a change here is a wire break for
-// --- mixed-version parent/child fleets.
+// --- from the pre-refactor encoder, then regenerated once when the meta
+// --- block began carrying every TierStats counter (rehydrated_objects,
+// --- rehydrate_failures and bloom_false_positives added, nothing else
+// --- moved); a change here is a wire break for mixed-version
+// --- parent/child fleets.
 TEST(ServiceTest, WorkerResultWireFormatIsPinned) {
   ReplayResult r;
   r.runtime_seconds = 1.5;
@@ -447,8 +450,11 @@ TEST(ServiceTest, WorkerResultWireFormatIsPinned) {
   r.skipblocks.skipped = 5;
   r.skipblocks.restores = 2;
   r.skipblocks.materialized = 1;
-  r.bucket_faults = 7;
-  r.bloom_skipped_probes = 9;
+  r.tier.bucket_faults = 7;
+  r.tier.rehydrated_objects = 10;
+  r.tier.rehydrate_failures = 12;
+  r.tier.bloom_skipped_probes = 9;
+  r.tier.bloom_false_positives = 14;
   r.probes.preamble_probed = true;
   r.probes.probed_loops = {2, 5};
   r.probes.probe_stmt_uids = {11, 13};
@@ -469,18 +475,20 @@ TEST(ServiceTest, WorkerResultWireFormatIsPinned) {
   r.probe_entries = {e1};
 
   const char* kGoldenHex =
-      "8b7fd9a50a666c6f7272657331093539ca4d31870272756e74696d655f7365636f6e"
+      "8b7fd9a50a666c6f727265733109359ddb42c8cc0272756e74696d655f7365636f6e"
       "6473093078312e38702b300a726573746f72655f7365636f6e647309307831702d32"
       "0a6f627365727665645f63093078312e34702d310a6566666563746976655f696e69"
       "7409310a706172746974696f6e5f7365676d656e747309380a6163746976655f776f"
       "726b65727309340a776f726b5f626567696e09320a776f726b5f656e6409340a7362"
       "5f657865637574656409330a73625f736b697070656409350a73625f726573746f72"
       "657309320a73625f6d6174657269616c697a656409310a6275636b65745f6661756c"
-      "747309370a626c6f6f6d5f736b69707065645f70726f62657309390a707265616d62"
-      "6c655f70726f62656409310ac6369e332f313109653d322f693d300930096c6f7373"
-      "09302e3132350a313309653d33093109677261645f6e6f726d09322e350a57744858"
-      "18313109653d322f693d300930096c6f737309302e3132350aad4cb6330631310a31"
-      "330a2862fbc804320a350a";
+      "747309370a726568796472617465645f6f626a656374730931300a72656879647261"
+      "74655f6661696c757265730931320a626c6f6f6d5f736b69707065645f70726f6265"
+      "7309390a626c6f6f6d5f66616c73655f706f736974697665730931340a707265616d"
+      "626c655f70726f62656409310ac6369e332f313109653d322f693d300930096c6f73"
+      "7309302e3132350a313309653d33093109677261645f6e6f726d09322e350a577448"
+      "5818313109653d322f693d300930096c6f737309302e3132350aad4cb6330631310a"
+      "31330a2862fbc804320a350a";
   std::string golden;
   for (const char* p = kGoldenHex; p[0] != '\0' && p[1] != '\0'; p += 2) {
     auto nibble = [](char c) {
@@ -495,8 +503,12 @@ TEST(ServiceTest, WorkerResultWireFormatIsPinned) {
   auto decoded = DecodeWorkerResult(golden);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->runtime_seconds, 1.5);
-  EXPECT_EQ(decoded->bucket_faults, 7);
-  EXPECT_EQ(decoded->bloom_skipped_probes, 9);
+  // Every counter crosses with its own distinct value.
+  for (const auto& f : SkipBlockStats::kFields)
+    EXPECT_EQ(decoded->skipblocks.*f.member, r.skipblocks.*f.member)
+        << f.name;
+  for (const auto& f : TierStats::kFields)
+    EXPECT_EQ(decoded->tier.*f.member, r.tier.*f.member) << f.name;
   EXPECT_EQ(decoded->logs.Serialize(), r.logs.Serialize());
 }
 
@@ -704,13 +716,13 @@ TEST(ServiceTest, PerTenantStatsAttributeTraffic) {
   auto replay =
       (*alice)->Replay("r1", MakeWorkloadFactory(profile, kProbeInner), sopts);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_GT(replay->bucket_faults, 0);  // demoted epochs fault back in
+  EXPECT_GT(replay->tier.bucket_faults, 0);  // demoted epochs fault back in
   {
     const ConnectionStats stats = (*conn)->stats();
     const TenantStats& a = stats.tenants.at("alice");
     EXPECT_EQ(a.replays_completed, 1);
-    EXPECT_EQ(a.bucket_faults, replay->bucket_faults);
-    EXPECT_EQ(a.bloom_skipped_probes, replay->bloom_skipped_probes);
+    EXPECT_EQ(a.bucket_faults, replay->tier.bucket_faults);
+    EXPECT_EQ(a.bloom_skipped_probes, replay->tier.bloom_skipped_probes);
   }
 
   // The query surface counts per tenant: two Query calls and an Exists
@@ -730,6 +742,94 @@ TEST(ServiceTest, PerTenantStatsAttributeTraffic) {
   EXPECT_EQ(b.queries_served, 0);
   EXPECT_EQ(b.spool_bytes, 0);
   EXPECT_EQ(b.bucket_faults, 0);
+}
+
+TEST(ServiceTest, ConnectionTotalsAreTheSumOfTenantSlices) {
+  // Every connection-level counter is the sum of its tenant slices, after
+  // a mixed record / replay / query / Exists / GC sequence over two tenants
+  // that exercises each of them (admission waits and GC failures included),
+  // and no record is left accounted as active.
+  WorkloadProfile profile = ServiceProfile(/*epochs=*/6);
+  profile.wall_batch_seconds = 0.01;
+  MemFileSystem base;
+  FaultInjectionFileSystem fs(&base);
+  Env env(std::make_unique<WallClock>(), &fs);
+  ConnectionOptions copts = TieredConnectionOptions(profile);
+  copts.tier.bloom_filter = true;
+  copts.gc.keep_last_k = 1;
+  copts.max_concurrent_records = 1;
+  auto conn = Connection::Open(&env, copts);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  const SessionRecordOptions sropts =
+      workloads::DefaultRecordOptions(profile, "");
+  const ProgramFactory factory = MakeWorkloadFactory(profile, kProbeNone);
+  auto record = [&](const std::string& tenant, const std::string& run) {
+    auto session = (*conn)->OpenSession(tenant);
+    ASSERT_TRUE(session.ok());
+    auto rec = (*session)->Record(run, factory, sropts);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  };
+
+  // bob queues behind alice's record on the one global slot.
+  std::thread first([&] { record("alice", "r1"); });
+  while ((*conn)->stats().active_records < 1) std::this_thread::yield();
+  std::thread second([&] { record("bob", "r1"); });
+  first.join();
+  second.join();
+  (*conn)->DrainBackground();
+  // Every retirement delete of bob's next run fails.
+  fs.InjectDeleteFailures(1 << 20, "svc/bob/r2");
+  record("bob", "r2");
+  (*conn)->DrainBackground();
+
+  auto alice = (*conn)->OpenSession("alice");
+  auto bob = (*conn)->OpenSession("bob");
+  ASSERT_TRUE(alice.ok());
+  ASSERT_TRUE(bob.ok());
+  SessionReplayOptions sopts;
+  sopts.engine = ReplayEngine::kThreads;
+  sopts.workers = 2;
+  ASSERT_TRUE((*alice)
+                  ->Replay("r1", MakeWorkloadFactory(profile, kProbeInner),
+                           sopts)
+                  .ok());
+  ASSERT_TRUE((*alice)->Query().ok());
+  ASSERT_TRUE((*alice)->MetricSeries("r1", "loss").ok());
+  ASSERT_TRUE((*bob)->Exists("r1", CheckpointKey{99, "absent"}).ok());
+  EXPECT_FALSE((*bob)->Exists("no-such-run", CheckpointKey{1, "x"}).ok());
+
+  const ConnectionStats stats = (*conn)->stats();
+  struct Counter {
+    const char* name;
+    int64_t ConnectionStats::*total;
+    int64_t TenantStats::*slice;
+  };
+  const Counter counters[] = {
+      {"sessions_opened", &ConnectionStats::sessions_opened,
+       &TenantStats::sessions_opened},
+      {"records_completed", &ConnectionStats::records_completed,
+       &TenantStats::records_completed},
+      {"replays_completed", &ConnectionStats::replays_completed,
+       &TenantStats::replays_completed},
+      {"queries_served", &ConnectionStats::queries_served,
+       &TenantStats::queries_served},
+      {"admission_waits", &ConnectionStats::admission_waits,
+       &TenantStats::admission_waits},
+      {"gc_passes", &ConnectionStats::gc_passes, &TenantStats::gc_passes},
+      {"gc_failures", &ConnectionStats::gc_failures,
+       &TenantStats::gc_failures},
+  };
+  ASSERT_EQ(stats.tenants.size(), 2u);
+  for (const Counter& c : counters) {
+    int64_t sum = 0;
+    for (const auto& entry : stats.tenants) sum += entry.second.*c.slice;
+    EXPECT_EQ(stats.*c.total, sum) << c.name;
+    EXPECT_GT(stats.*c.total, 0) << c.name << " was not exercised";
+  }
+  EXPECT_EQ(stats.active_records, 0);
+  for (const auto& entry : stats.tenants)
+    EXPECT_EQ(entry.second.active_records, 0) << entry.first;
 }
 
 TEST(ServiceTest, CloseRefusesNewWorkAndUnblocksWaiters) {

@@ -265,7 +265,7 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   auto before = RunPartitionedReplay(factory, &fs, plan, SimRunner());
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_TRUE(before->deferred.ok);
-  EXPECT_EQ(before->bucket_faults, 0);
+  EXPECT_EQ(before->tier.bucket_faults, 0);
 
   GcPolicy policy;
   policy.keep_last_k = 1;
@@ -279,7 +279,7 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   auto sim_after = RunPartitionedReplay(factory, &fs, plan, SimRunner());
   ASSERT_TRUE(sim_after.ok()) << sim_after.status().ToString();
   EXPECT_TRUE(sim_after->deferred.ok);
-  EXPECT_GT(sim_after->bucket_faults, 0);
+  EXPECT_GT(sim_after->tier.bucket_faults, 0);
   EXPECT_EQ(sim_after->merged_logs.Serialize(),
             before->merged_logs.Serialize());
 
@@ -289,7 +289,7 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
       RunPartitionedReplay(factory, &fs, rehydrating, exec::ThreadRunner(4));
   ASSERT_TRUE(real_after.ok()) << real_after.status().ToString();
   EXPECT_TRUE(real_after->deferred.ok);
-  EXPECT_GT(real_after->bucket_faults, 0);
+  EXPECT_GT(real_after->tier.bucket_faults, 0);
   EXPECT_EQ(real_after->merged_logs.Serialize(),
             before->merged_logs.Serialize());
 
