@@ -102,17 +102,6 @@ void BM_DecompressLz(benchmark::State& state) {
 }
 BENCHMARK(BM_DecompressLz)->Args({1 << 22, kMixed});
 
-void BM_CompressRle(benchmark::State& state) {
-  std::string payload = TensorToBytes(MakeTensor(state.range(0), true));
-  for (auto _ : state) {
-    std::string out = Compress(payload, Codec::kRle);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(payload.size()));
-}
-BENCHMARK(BM_CompressRle)->Arg(1 << 14)->Arg(1 << 18);
-
 void BM_FrameRoundTrip(benchmark::State& state) {
   std::string payload = TensorToBytes(MakeTensor(state.range(0), false));
   for (auto _ : state) {

@@ -94,7 +94,7 @@ int main() {
         FLOR_CHECK(spool.ok()) << spool.first_error;
         FLOR_CHECK_EQ(spool.objects,
                       static_cast<int64_t>(rec.manifest.records.size()));
-        FLOR_CHECK_EQ(spool.bytes, local_bytes);
+        FLOR_CHECK_EQ(spool.bytes, static_cast<int64_t>(local_bytes));
         FLOR_CHECK_EQ(fs.TotalBytesUnder(dst + "/"), local_bytes);
 
         json.Row()

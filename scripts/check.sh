@@ -99,11 +99,19 @@ if grep -rn 'Manifest::Deserialize(' src/ | grep -v '^src/checkpoint/store\.cc:'
   exit 1
 fi
 # Read-tier counters travel as one TierStats: the replay layer and the
-# service session move the whole struct and never name its fields.
-if grep -rnE 'bucket_faults|bloom_skipped_probes' src/flor/ \
-        src/service/session.cc; then
-  echo "error: a TierStats field named under src/flor/ or in" >&2
-  echo "src/service/session.cc — pass the TierStats (src/checkpoint/store.h)" >&2
+# service (session, server, wire) move the whole struct and never name its
+# fields.
+if grep -rnE 'bucket_faults|bloom_skipped_probes' src/flor/ src/service/; then
+  echo "error: a TierStats field named under src/flor/ or src/service/ —" >&2
+  echo "pass the TierStats (src/checkpoint/store.h)" >&2
+  exit 1
+fi
+# One sectioned-message codec: frame streams are split into sections, and
+# doubles written as hexfloat, only by src/serialize/ (sections.h: the
+# worker result files and the wire both go through it).
+if grep -rnE 'StrFormat\("%a"|ReadFrames\(' src/ | grep -v '^src/serialize/'; then
+  echo "error: StrFormat(\"%a\" or ReadFrames( outside src/serialize/ —" >&2
+  echo "encode through EncodeSections/MetaWriter (src/serialize/sections.h)" >&2
   exit 1
 fi
 
@@ -198,7 +206,7 @@ if [[ "${SANITIZE}" == "address,undefined" ]]; then
   # input.
   ctest --test-dir "${BUILD_DIR}-asan" --output-on-failure \
         --no-tests=error -j "${JOBS}" \
-        -R '^(WireTest|ResultFile|Manifest|Checkpoint|Frame|Coding|Compress)\.'
+        -R '^(WireTest|ResultFile|Sections|Manifest|Checkpoint|Frame|Coding|Compress)\.'
   ctest --test-dir "${BUILD_DIR}-asan" --output-on-failure \
         --no-tests=error -j "${JOBS}" -L 'proc|server'
 fi

@@ -10,19 +10,23 @@ double S3MonthlyCost(uint64_t bytes) {
 }
 
 SpoolReport& SpoolReport::operator+=(const SpoolReport& other) {
-  objects += other.objects;
-  bytes += other.bytes;
-  batches += other.batches;
-  retries += other.retries;
-  failed_objects += other.failed_objects;
+  AddCounters(*this, other, kFields);
   if (first_error.empty()) first_error = other.first_error;
+  return *this;
+}
+
+SpoolReport& SpoolReport::operator-=(const SpoolReport& before) {
+  SubtractCounters(*this, before, kFields);
+  monthly_cost_dollars = S3MonthlyCost(static_cast<uint64_t>(bytes));
+  if (failed_objects == 0 && retries == 0) first_error.clear();
   return *this;
 }
 
 SpoolReport AggregateSpoolReports(const std::vector<SpoolReport>& reports) {
   SpoolReport total;
   for (const auto& r : reports) total += r;
-  total.monthly_cost_dollars = S3MonthlyCost(total.bytes);
+  total.monthly_cost_dollars =
+      S3MonthlyCost(static_cast<uint64_t>(total.bytes));
   return total;
 }
 
@@ -117,7 +121,7 @@ void SpoolQueue::RunBatch(int shard, std::vector<Item> items) {
     }
     if (written) {
       ++delta.objects;
-      delta.bytes += data->size();
+      delta.bytes += static_cast<int64_t>(data->size());
     } else {
       ++delta.failed_objects;
       if (delta.first_error.empty()) delta.first_error = last.ToString();
@@ -142,7 +146,8 @@ SpoolReport SpoolQueue::ShardReport(int shard) const {
   const ShardState& s = *shards_[static_cast<size_t>(shard)];
   std::lock_guard<std::mutex> lock(s.mu);
   SpoolReport report = s.report;
-  report.monthly_cost_dollars = S3MonthlyCost(report.bytes);
+  report.monthly_cost_dollars =
+      S3MonthlyCost(static_cast<uint64_t>(report.bytes));
   return report;
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "checkpoint/store.h"
+#include "common/counters.h"
 #include "common/status.h"
 #include "env/background_queue.h"
 #include "env/filesystem.h"
@@ -33,16 +34,28 @@ namespace flor {
 /// Outcome of spooling (one shard's, or aggregated).
 struct SpoolReport {
   int64_t objects = 0;         ///< objects successfully copied
-  uint64_t bytes = 0;          ///< bytes successfully copied
+  int64_t bytes = 0;           ///< bytes successfully copied
   int64_t batches = 0;         ///< spool jobs executed
   int64_t retries = 0;         ///< failed write attempts that were retried
   int64_t failed_objects = 0;  ///< objects abandoned after max attempts
   double monthly_cost_dollars = 0;
   std::string first_error;     ///< first failure message (diagnostics)
 
+  /// The counters above: the one list the merge and delta rules iterate.
+  static constexpr CounterField<SpoolReport> kFields[] = {
+      {"objects", &SpoolReport::objects},
+      {"bytes", &SpoolReport::bytes},
+      {"batches", &SpoolReport::batches},
+      {"retries", &SpoolReport::retries},
+      {"failed_objects", &SpoolReport::failed_objects}};
+
   bool ok() const { return failed_objects == 0; }
   /// Sums the counters, keeps the first error (cost is priced from bytes).
   SpoolReport& operator+=(const SpoolReport& other);
+  /// What moved since `before`, an earlier report of the same cumulative
+  /// queue: the counter deltas, re-priced, with first_error kept only when
+  /// failures or retries grew in the window.
+  SpoolReport& operator-=(const SpoolReport& before);
 };
 
 /// Sums reports (per-shard -> store-wide); keeps the first error seen.

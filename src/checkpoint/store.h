@@ -106,7 +106,8 @@ struct TierStats {
   int64_t bloom_false_positives = 0;
 
   /// The counters above: the one list the merge rule, the store's live
-  /// counters and the worker-result codec (flor/replay_plan.h) iterate.
+  /// counters and the meta blocks of the worker result (flor/replay_plan.h)
+  /// and the wire replay reply (service/wire.h) iterate.
   static constexpr CounterField<TierStats> kFields[] = {
       {"bucket_faults", &TierStats::bucket_faults},
       {"rehydrated_objects", &TierStats::rehydrated_objects},

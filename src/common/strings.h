@@ -37,8 +37,9 @@ bool EndsWith(const std::string& s, const std::string& suffix);
 /// files): the whole string must be consumed, be non-empty, and be in
 /// range — the permissive strto* defaults (garbage parses as 0) would
 /// silently turn a truncated record into a plausible-looking empty one.
-/// ParseF64 accepts everything strtod does, including the hexfloat form
-/// StrFormat("%a") emits, so doubles round-trip bit-exactly.
+/// ParseF64 accepts everything strtod does, including the "%a" hexfloat
+/// form meta blocks write (serialize/sections.h), so doubles round-trip
+/// bit-exactly.
 bool ParseI64(const std::string& s, int64_t* out);
 bool ParseI32(const std::string& s, int32_t* out);
 bool ParseU64(const std::string& s, uint64_t* out);

@@ -11,8 +11,8 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "env/result_file.h"
 #include "env/scratch.h"
+#include "serialize/sections.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
@@ -32,24 +32,9 @@ namespace {
 constexpr int kChildReplayFailed = 12;  // error file has the Status
 constexpr int kChildWriteFailed = 13;   // could not commit result/error
 
-/// Error-file payload: the failed Status as (code, message) sections, CRC
-/// framed like everything else in the scratch directory.
-std::string EncodeWorkerError(const Status& status) {
-  return EncodeResultSections(
-      {StrCat(static_cast<int>(status.code())), status.message()});
-}
-
-Status DecodeWorkerError(const std::string& data) {
-  auto sections = DecodeResultSections(data);
-  if (!sections.ok() || sections->size() != 2)
-    return Status::Corruption("worker error file is torn");
-  int64_t code = 0;
-  if (!ParseI64((*sections)[0], &code) || code <= 0 ||
-      !IsValidStatusCode(code)) {
-    return Status::Corruption("worker error file: bad status code");
-  }
-  return Status(static_cast<StatusCode>(code), (*sections)[1]);
-}
+/// Tag of a worker's error file: a sectioned message holding the failed
+/// Status (serialize/sections.h), CRC framed like the result file.
+constexpr char kWorkerErrorTag[] = "florerr1";
 
 }  // namespace
 
@@ -99,9 +84,11 @@ pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
         EncodeWorkerResult(*result));
     _exit(wrote.ok() ? 0 : kChildWriteFailed);
   }
-  const Status wrote = scratch_fs.WriteFile(
-      ForkRunner::ErrorFileName(worker_id, attempt),
-      EncodeWorkerError(result.status()));
+  std::vector<std::string> error;
+  AppendStatusSections(result.status(), &error);
+  const Status wrote =
+      scratch_fs.WriteFile(ForkRunner::ErrorFileName(worker_id, attempt),
+                           EncodeSections(kWorkerErrorTag, error));
   _exit(wrote.ok() ? kChildReplayFailed : kChildWriteFailed);
 }
 
@@ -303,9 +290,14 @@ Result<PartitionOutcomes> ForkRunner::Run(int active,
       const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
       if (code == kChildReplayFailed) {
         auto err_bytes = scratch_fs.ReadFile(ErrorFileName(w, la.attempt));
-        cause = err_bytes.ok()
-                    ? DecodeWorkerError(*err_bytes)
-                    : Status::Internal("replay failed (error file missing)");
+        if (!err_bytes.ok()) {
+          cause = Status::Internal("replay failed (error file missing)");
+        } else {
+          auto error = DecodeSections(kWorkerErrorTag, *err_bytes);
+          if (!error.ok() || error->size() != 2 ||
+              !ReadStatusSections(*error, &cause).ok() || cause.ok())
+            cause = Status::Corruption("worker error file is torn");
+        }
       } else {
         cause = Status::Aborted(StrCat(
             "worker process exited with status ", code,

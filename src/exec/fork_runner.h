@@ -21,7 +21,7 @@
 //
 // Protocol: each child runs its partition's closure and writes the
 // resulting fragment (flor::EncodeWorkerResult) to a length-prefixed,
-// CRC-framed result file (env/result_file.h) in a posix scratch directory
+// CRC-framed result file (serialize/sections.h) in a posix scratch directory
 // — atomically, so a child killed mid-write leaves either nothing or a
 // torn file that fails to parse, never a silently mergeable garbage
 // fragment. The parent reaps children as they exit (EINTR-safe

@@ -36,28 +36,6 @@ RecordSession::RecordSession(Env* env, RecordOptions options)
   materializer_ = std::make_unique<Materializer>(env_, options_.materializer);
 }
 
-namespace {
-
-// Per-shard spool delta across one session's run: a shared queue's
-// counters are cumulative over every session it served, so a session
-// reports what moved on its watch. first_error is kept only when it
-// appeared during this window (error count grew).
-SpoolReport SpoolReportDelta(const SpoolReport& after,
-                             const SpoolReport& before) {
-  SpoolReport d;
-  d.objects = after.objects - before.objects;
-  d.bytes = after.bytes - before.bytes;
-  d.batches = after.batches - before.batches;
-  d.retries = after.retries - before.retries;
-  d.failed_objects = after.failed_objects - before.failed_objects;
-  d.monthly_cost_dollars =
-      after.monthly_cost_dollars - before.monthly_cost_dollars;
-  if (d.failed_objects > 0 || d.retries > 0) d.first_error = after.first_error;
-  return d;
-}
-
-}  // namespace
-
 Result<RecordResult> RecordSession::Run(ir::Program* program,
                                         exec::Frame* frame) {
   RecordResult result;
@@ -116,10 +94,13 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
   // as record overhead.
   if (spool != nullptr) {
     spool->Drain();
-    for (int shard = 0; shard < spool->num_shards(); ++shard)
-      result.spool_shard_reports.push_back(SpoolReportDelta(
-          spool->ShardReport(shard),
-          spool_baseline[static_cast<size_t>(shard)]));
+    // A shared queue's counters are cumulative over every session it
+    // served, so a session reports what moved on its watch.
+    for (int shard = 0; shard < spool->num_shards(); ++shard) {
+      SpoolReport delta = spool->ShardReport(shard);
+      delta -= spool_baseline[static_cast<size_t>(shard)];
+      result.spool_shard_reports.push_back(std::move(delta));
+    }
     result.spool_report = AggregateSpoolReports(result.spool_shard_reports);
   }
 

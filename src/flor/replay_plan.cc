@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
-#include <map>
 #include <set>
 
 #include "common/strings.h"
-#include "env/result_file.h"
 #include "flor/instrument.h"
 #include "flor/partition.h"
+#include "serialize/sections.h"
 
 namespace flor {
 
@@ -116,32 +115,11 @@ ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
 
 namespace {
 
-// Worker-result wire format: section 0 is a tab-separated key/value block
-// (doubles as hexfloat so the round trip is bit-exact), sections 1-2 are
-// LogStream line encodings, sections 3-4 newline-joined statement uids.
+// Worker-result format: one "florres1" sectioned message
+// (serialize/sections.h). Section 0 is the meta block, sections 1-2 are
+// LogStream line encodings, sections 3-4 newline-terminated statement uids.
+constexpr char kWorkerResultTag[] = "florres1";
 constexpr size_t kWorkerResultSections = 5;
-
-void AppendMetaDouble(std::string* out, const char* key, double v) {
-  out->append(StrCat(key, "\t", StrFormat("%a", v), "\n"));
-}
-
-void AppendMetaInt(std::string* out, const char* key, int64_t v) {
-  out->append(StrCat(key, "\t", v, "\n"));
-}
-
-Result<double> ParseMetaDouble(const std::string& s) {
-  double v = 0;
-  if (!ParseF64(s, &v))
-    return Status::Corruption("worker result: bad double: " + s);
-  return v;
-}
-
-Result<int64_t> ParseMetaInt(const std::string& s) {
-  int64_t v = 0;
-  if (!ParseI64(s, &v))
-    return Status::Corruption("worker result: bad integer: " + s);
-  return v;
-}
 
 std::string JoinUids(const std::set<int32_t>& uids) {
   std::string out;
@@ -153,8 +131,10 @@ Result<std::set<int32_t>> SplitUids(const std::string& data) {
   std::set<int32_t> out;
   for (const std::string& line : StrSplit(data, '\n')) {
     if (line.empty()) continue;
-    FLOR_ASSIGN_OR_RETURN(const int64_t uid, ParseMetaInt(line));
-    out.insert(static_cast<int32_t>(uid));
+    int32_t uid = 0;
+    if (!ParseI32(line, &uid))
+      return Status::Corruption("worker result: bad statement uid: " + line);
+    out.insert(uid);
   }
   return out;
 }
@@ -162,96 +142,62 @@ Result<std::set<int32_t>> SplitUids(const std::string& data) {
 }  // namespace
 
 std::string EncodeWorkerResult(const ReplayResult& result) {
-  std::string meta;
-  AppendMetaDouble(&meta, "runtime_seconds", result.runtime_seconds);
-  AppendMetaDouble(&meta, "restore_seconds", result.restore_seconds);
-  AppendMetaDouble(&meta, "observed_c", result.observed_c);
-  AppendMetaInt(&meta, "effective_init",
-                static_cast<int64_t>(result.effective_init));
-  AppendMetaInt(&meta, "partition_segments", result.partition_segments);
-  AppendMetaInt(&meta, "active_workers", result.active_workers);
-  AppendMetaInt(&meta, "work_begin", result.work_begin);
-  AppendMetaInt(&meta, "work_end", result.work_end);
-  for (const auto& f : SkipBlockStats::kFields)
-    AppendMetaInt(&meta, f.name, result.skipblocks.*f.member);
-  for (const auto& f : TierStats::kFields)
-    AppendMetaInt(&meta, f.name, result.tier.*f.member);
-  AppendMetaInt(&meta, "preamble_probed",
-                result.probes.preamble_probed ? 1 : 0);
+  const std::string meta =
+      MetaWriter()
+          .Double("runtime_seconds", result.runtime_seconds)
+          .Double("restore_seconds", result.restore_seconds)
+          .Double("observed_c", result.observed_c)
+          .Int("effective_init", static_cast<int64_t>(result.effective_init))
+          .Int("partition_segments", result.partition_segments)
+          .Int("active_workers", result.active_workers)
+          .Int("work_begin", result.work_begin)
+          .Int("work_end", result.work_end)
+          .Counters(result.skipblocks, SkipBlockStats::kFields)
+          .Counters(result.tier, TierStats::kFields)
+          .Bool("preamble_probed", result.probes.preamble_probed)
+          .Finish();
 
   exec::LogStream probe_stream;
   for (const exec::LogEntry& e : result.probe_entries)
     probe_stream.Append(e);
 
-  return EncodeResultSections({meta, result.logs.Serialize(),
-                               probe_stream.Serialize(),
-                               JoinUids(result.probes.probe_stmt_uids),
-                               JoinUids(result.probes.probed_loops)});
+  return EncodeSections(kWorkerResultTag,
+                        {meta, result.logs.Serialize(),
+                         probe_stream.Serialize(),
+                         JoinUids(result.probes.probe_stmt_uids),
+                         JoinUids(result.probes.probed_loops)});
 }
 
 Result<ReplayResult> DecodeWorkerResult(const std::string& data) {
   FLOR_ASSIGN_OR_RETURN(std::vector<std::string> sections,
-                        DecodeResultSections(data));
+                        DecodeSections(kWorkerResultTag, data));
   if (sections.size() != kWorkerResultSections) {
     return Status::Corruption(
         StrCat("worker result: expected ", kWorkerResultSections,
                " sections, got ", sections.size()));
   }
 
-  std::map<std::string, std::string> meta;
-  for (const std::string& line : StrSplit(sections[0], '\n')) {
-    if (line.empty()) continue;
-    const std::vector<std::string> kv = StrSplit(line, '\t');
-    if (kv.size() != 2 || !meta.emplace(kv[0], kv[1]).second)
-      return Status::Corruption("worker result: malformed meta line: " +
-                                line);
-  }
-  auto take = [&meta](const char* key) -> Result<std::string> {
-    auto it = meta.find(key);
-    if (it == meta.end())
-      return Status::Corruption(StrCat("worker result: missing ", key));
-    std::string v = std::move(it->second);
-    meta.erase(it);
-    return v;
-  };
-  auto take_double = [&take](const char* key) -> Result<double> {
-    FLOR_ASSIGN_OR_RETURN(const std::string v, take(key));
-    return ParseMetaDouble(v);
-  };
-  auto take_int = [&take](const char* key) -> Result<int64_t> {
-    FLOR_ASSIGN_OR_RETURN(const std::string v, take(key));
-    return ParseMetaInt(v);
-  };
-
+  MetaReader meta(sections[0], "worker result");
   ReplayResult out;
-  FLOR_ASSIGN_OR_RETURN(out.runtime_seconds,
-                        take_double("runtime_seconds"));
-  FLOR_ASSIGN_OR_RETURN(out.restore_seconds,
-                        take_double("restore_seconds"));
-  FLOR_ASSIGN_OR_RETURN(out.observed_c, take_double("observed_c"));
-  FLOR_ASSIGN_OR_RETURN(const int64_t init, take_int("effective_init"));
+  FLOR_ASSIGN_OR_RETURN(out.runtime_seconds, meta.Double("runtime_seconds"));
+  FLOR_ASSIGN_OR_RETURN(out.restore_seconds, meta.Double("restore_seconds"));
+  FLOR_ASSIGN_OR_RETURN(out.observed_c, meta.Double("observed_c"));
+  FLOR_ASSIGN_OR_RETURN(const int64_t init, meta.Int("effective_init"));
   if (init != 0 && init != 1)
     return Status::Corruption("worker result: bad effective_init");
   out.effective_init = static_cast<InitMode>(init);
   FLOR_ASSIGN_OR_RETURN(out.partition_segments,
-                        take_int("partition_segments"));
-  FLOR_ASSIGN_OR_RETURN(const int64_t active, take_int("active_workers"));
+                        meta.Int("partition_segments"));
+  FLOR_ASSIGN_OR_RETURN(const int64_t active, meta.Int("active_workers"));
   out.active_workers = static_cast<int>(active);
-  FLOR_ASSIGN_OR_RETURN(out.work_begin, take_int("work_begin"));
-  FLOR_ASSIGN_OR_RETURN(out.work_end, take_int("work_end"));
-  for (const auto& f : SkipBlockStats::kFields) {
-    FLOR_ASSIGN_OR_RETURN(out.skipblocks.*f.member, take_int(f.name));
-  }
-  for (const auto& f : TierStats::kFields) {
-    FLOR_ASSIGN_OR_RETURN(out.tier.*f.member, take_int(f.name));
-  }
-  FLOR_ASSIGN_OR_RETURN(const int64_t preamble,
-                        take_int("preamble_probed"));
-  out.probes.preamble_probed = preamble != 0;
-  if (!meta.empty()) {
-    return Status::Corruption("worker result: unknown meta key: " +
-                              meta.begin()->first);
-  }
+  FLOR_ASSIGN_OR_RETURN(out.work_begin, meta.Int("work_begin"));
+  FLOR_ASSIGN_OR_RETURN(out.work_end, meta.Int("work_end"));
+  FLOR_RETURN_IF_ERROR(
+      meta.Counters(&out.skipblocks, SkipBlockStats::kFields));
+  FLOR_RETURN_IF_ERROR(meta.Counters(&out.tier, TierStats::kFields));
+  FLOR_ASSIGN_OR_RETURN(out.probes.preamble_probed,
+                        meta.Bool("preamble_probed"));
+  FLOR_RETURN_IF_ERROR(meta.Finish());
 
   FLOR_ASSIGN_OR_RETURN(out.logs, exec::LogStream::Deserialize(sections[1]));
   FLOR_ASSIGN_OR_RETURN(exec::LogStream probe_stream,

@@ -177,7 +177,7 @@ Result<PartitionedReplayResult> RunPartitionedReplay(
 
 /// Encodes one worker's ReplayResult for out-of-process transport — the
 /// fork runner (exec/fork_runner.h) has each child write this to a
-/// CRC-framed result file (env/result_file.h) and the parent decode it
+/// CRC-framed result file (serialize/sections.h) and the parent decode it
 /// back into the exact ReplayResult an in-process worker would have handed
 /// RunPartitionedReplay. The round trip is lossless: doubles travel as
 /// hexfloat, log fragments via LogStream's line encoding, and every

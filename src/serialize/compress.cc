@@ -10,71 +10,10 @@ namespace flor {
 
 namespace {
 
-// No token of either codec expands to more than this many output bytes per
-// body byte (an LZ match: 3 bytes -> at most 259). A header claiming more
+// No LZ token expands to more than this many output bytes per body byte (a
+// match: 3 bytes -> at most 259). A header claiming more
 // is torn, and is rejected before the output is allocated.
 constexpr uint64_t kMaxExpansion = 4 + 255;
-
-// --------------------------------------------------------------- RLE ----
-// Format: sequence of (control byte, payload). control < 0x80: literal run
-// of control+1 bytes follows. control >= 0x80: repeated run; one byte
-// follows, repeated (control - 0x80 + 2) times (min useful run is 2).
-
-void RleCompress(const std::string& in, std::string* out) {
-  size_t i = 0;
-  const size_t n = in.size();
-  while (i < n) {
-    // Measure the run starting at i.
-    size_t run = 1;
-    while (i + run < n && in[i + run] == in[i] && run < 129) ++run;
-    if (run >= 2) {
-      out->push_back(static_cast<char>(0x80 + (run - 2)));
-      out->push_back(in[i]);
-      i += run;
-      continue;
-    }
-    // Collect a literal stretch until the next run of >= 3 (a run of 2 is
-    // not worth breaking a literal for).
-    size_t lit_start = i;
-    size_t lit_len = 0;
-    while (i < n && lit_len < 128) {
-      size_t r = 1;
-      while (i + r < n && in[i + r] == in[i] && r < 3) ++r;
-      if (r >= 3) break;
-      i += 1;
-      lit_len += 1;
-    }
-    out->push_back(static_cast<char>(lit_len - 1));
-    out->append(in, lit_start, lit_len);
-  }
-}
-
-/// Decodes into `out`, already sized to the expected output.
-Status RleDecompress(const char* in, size_t n, std::string* out) {
-  char* const dst = out->data();
-  const size_t expected = out->size();
-  size_t o = 0;
-  size_t i = 0;
-  while (i < n) {
-    uint8_t control = static_cast<uint8_t>(in[i++]);
-    if (control < 0x80) {
-      size_t len = control + 1;
-      if (len > n - i) return Status::Corruption("RLE literal overrun");
-      if (len > expected - o) return Status::Corruption("RLE size mismatch");
-      std::memcpy(dst + o, in + i, len);
-      i += len;
-      o += len;
-    } else {
-      if (i >= n) return Status::Corruption("RLE run overrun");
-      size_t len = (control - 0x80) + 2;
-      if (len > expected - o) return Status::Corruption("RLE size mismatch");
-      std::memset(dst + o, in[i++], len);
-      o += len;
-    }
-  }
-  if (o != expected) return Status::Corruption("RLE size mismatch");
-  return Status::OK();
-}
 
 // --------------------------------------------------------------- LZSS ---
 // Tokens: flag byte governs the next 8 items (LSB first). Bit clear =
@@ -281,10 +220,6 @@ std::string Compress(const std::string& input, Codec codec) {
   switch (codec) {
     case Codec::kNone:
       break;
-    case Codec::kRle:
-      RleCompress(input, &out);
-      packed = out.size() - header < input.size();
-      break;
     case Codec::kLz:
       packed = LzCompress(input, &out);
       break;
@@ -311,26 +246,15 @@ Result<std::string> Decompress(const std::string& input) {
       if (body_len != expected)
         return Status::Corruption("raw blob size mismatch");
       return std::string(body, body_len);
-    case Codec::kRle:
     case Codec::kLz: {
       if (expected > body_len * kMaxExpansion)
         return Status::Corruption("size exceeds what the body can encode");
       std::string out(static_cast<size_t>(expected), '\0');
-      FLOR_RETURN_IF_ERROR(codec == Codec::kRle
-                               ? RleDecompress(body, body_len, &out)
-                               : LzDecompress(body, body_len, &out));
+      FLOR_RETURN_IF_ERROR(LzDecompress(body, body_len, &out));
       return out;
     }
   }
   return Status::Corruption("unknown codec byte");
-}
-
-Result<Codec> PeekCodec(const std::string& input) {
-  if (input.empty()) return Status::Corruption("empty compressed blob");
-  uint8_t tag = static_cast<uint8_t>(input[0]);
-  if (tag > static_cast<uint8_t>(Codec::kLz))
-    return Status::Corruption("unknown codec byte");
-  return static_cast<Codec>(tag);
 }
 
 }  // namespace flor

@@ -1,13 +1,11 @@
 // Block compression for checkpoints.
 //
 // The paper gzip-compresses checkpoints before spooling them to S3 (Table 4).
-// Offline, we implement two from-scratch codecs:
-//   * kRle  — byte-level run-length encoding; near-free, wins on the large
-//             zero/constant regions common in freshly-initialized or frozen
-//             model state.
-//   * kLz   — LZSS-style Lempel-Ziv with a 64 KiB window and a chained hash
-//             table; the gzip stand-in used for Table 4 sizes.
-// The codec byte is stored with the block, so readers self-describe.
+// Offline, the stand-in is one from-scratch codec, kLz: LZSS-style
+// Lempel-Ziv with a 64 KiB window and a chained hash table. The codec byte
+// is stored with the block, so readers self-describe: 0 is a raw block, 2
+// an LZ block. Tag 1 (a run-length codec no stored object ever used) is
+// retired and decodes as Corruption, like any unknown tag.
 //
 // The LZ encoder's cost follows the matches it finds. After a streak of
 // failed searches it accelerates: every 64 misses in a row widen the stride
@@ -32,7 +30,6 @@ namespace flor {
 
 enum class Codec : uint8_t {
   kNone = 0,
-  kRle = 1,
   kLz = 2,
 };
 
@@ -42,10 +39,6 @@ std::string Compress(const std::string& input, Codec codec);
 
 /// Inverse of Compress. Fails with Corruption on malformed input.
 Result<std::string> Decompress(const std::string& input);
-
-/// Codec actually used for a compressed blob (after the fallback-to-raw
-/// heuristic).
-Result<Codec> PeekCodec(const std::string& input);
 
 }  // namespace flor
 

@@ -366,7 +366,7 @@ void Connection::Account(const std::string& tenant,
   ++(t.*call);
   static_cast<TierStats&>(t) += tier;
   t.spool_objects += spool.objects;
-  t.spool_bytes += static_cast<int64_t>(spool.bytes);
+  t.spool_bytes += spool.bytes;
 }
 
 Result<GcReport> Connection::RetireBucket(const std::string& tenant,

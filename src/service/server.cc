@@ -274,7 +274,7 @@ void Server::HandleClient(int fd, uint64_t handler_id) {
           ++stats_.corrupt_messages;
         }
         WriteMessage(
-            fd, wire::EncodeResponse(wire::ErrorResponse(message.status())));
+            fd, wire::EncodeResponse(wire::Response{message.status()}));
       }
       break;
     }
@@ -287,14 +287,14 @@ void Server::HandleClient(int fd, uint64_t handler_id) {
         ++stats_.corrupt_messages;
       }
       WriteMessage(
-          fd, wire::EncodeResponse(wire::ErrorResponse(request.status())));
+          fd, wire::EncodeResponse(wire::Response{request.status()}));
       break;
     }
     const wire::Response response = Dispatch(*request);
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.requests_served;
-      if (response.code == static_cast<int64_t>(StatusCode::kUnavailable))
+      if (response.status.code() == StatusCode::kUnavailable)
         ++stats_.unavailable_refusals;
     }
     if (!WriteMessage(fd, wire::EncodeResponse(response)).ok()) break;
@@ -311,21 +311,21 @@ wire::Response Server::Dispatch(const wire::Request& req) {
   // OpenSession validates the tenant name and refuses once the
   // connection is draining — the typed-Unavailable contract.
   auto session_or = conn_->OpenSession(req.tenant);
-  if (!session_or.ok()) return wire::ErrorResponse(session_or.status());
+  if (!session_or.ok()) return wire::Response{session_or.status()};
   Session* session = session_or->get();
 
   if (req.op == "record" || req.op == "replay") {
     if (!options_.resolve_workload) {
-      return wire::ErrorResponse(Status::NotSupported(
-          "server has no workload resolver; record/replay are disabled"));
+      return wire::Response{Status::NotSupported(
+          "server has no workload resolver; record/replay are disabled")};
     }
     auto resolved = options_.resolve_workload(req.workload);
-    if (!resolved.ok()) return wire::ErrorResponse(resolved.status());
+    if (!resolved.ok()) return wire::Response{resolved.status()};
 
     if (req.op == "record") {
       auto rec = session->Record(req.run, resolved->factory,
                                  resolved->record);
-      if (!rec.ok()) return wire::ErrorResponse(rec.status());
+      if (!rec.ok()) return wire::Response{rec.status()};
       wire::RecordReply reply;
       reply.checkpoints =
           static_cast<int64_t>(rec->manifest.records.size());
@@ -337,23 +337,22 @@ wire::Response Server::Dispatch(const wire::Request& req) {
     }
 
     auto engine = wire::ParseEngine(req.engine);
-    if (!engine.ok()) return wire::ErrorResponse(engine.status());
+    if (!engine.ok()) return wire::Response{engine.status()};
     if (req.workers < 1 || req.workers > 4096) {
-      return wire::ErrorResponse(Status::InvalidArgument(
+      return wire::Response{Status::InvalidArgument(
           StrCat("replay workers must be in [1, 4096], got ",
-                 req.workers)));
+                 req.workers))};
     }
     SessionReplayOptions ropts;
     ropts.engine = *engine;
     ropts.workers = static_cast<int>(req.workers);
     auto rep = session->Replay(req.run, resolved->factory, ropts);
-    if (!rep.ok()) return wire::ErrorResponse(rep.status());
+    if (!rep.ok()) return wire::Response{rep.status()};
     wire::ReplayReply reply;
     reply.workers_used = rep->workers_used;
     reply.latency_seconds = rep->latency_seconds;
     reply.wall_seconds = rep->wall_seconds;
-    reply.bucket_faults = rep->tier.bucket_faults;
-    reply.bloom_skipped_probes = rep->tier.bloom_skipped_probes;
+    reply.tier = rep->tier;
     reply.deferred_ok = rep->deferred.ok;
     reply.merged_logs = rep->merged_logs.Serialize();
     return wire::MakeReplayReply(reply);
@@ -361,7 +360,7 @@ wire::Response Server::Dispatch(const wire::Request& req) {
 
   if (req.op == "query") {
     auto runs = session->Query();
-    if (!runs.ok()) return wire::ErrorResponse(runs.status());
+    if (!runs.ok()) return wire::Response{runs.status()};
     wire::QueryReply reply;
     reply.runs = std::move(*runs);
     return wire::MakeQueryReply(reply);
@@ -372,15 +371,15 @@ wire::Response Server::Dispatch(const wire::Request& req) {
     key.loop_id = req.loop_id;
     key.ctx = req.ctx;
     auto exists = session->Exists(req.run, key);
-    if (!exists.ok()) return wire::ErrorResponse(exists.status());
+    if (!exists.ok()) return wire::Response{exists.status()};
     wire::ExistsReply reply;
     reply.exists = *exists;
     return wire::MakeExistsReply(reply);
   }
 
-  return wire::ErrorResponse(Status::InvalidArgument(
+  return wire::Response{Status::InvalidArgument(
       StrCat("unknown wire op '", req.op,
-             "' (expected record, replay, query, or exists)")));
+             "' (expected record, replay, query, or exists)"))};
 }
 
 WireClient::WireClient(WireClient&& other) noexcept : fd_(other.fd_) {

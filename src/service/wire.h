@@ -1,18 +1,16 @@
 // Wire protocol for the service front-end (service/server.h).
 //
-// Messages reuse the sectioned CRC-framing idiom of env/result_file.h —
-// the same tamper-evidence contract, applied to a socket instead of a
-// scratch file:
+// Every message is one sectioned message (serialize/sections.h), the same
+// codec the fork runner's worker result files use:
 //
 //   frame 0  header  "florwir1\t<req|res>\t<n>"  (n = payload sections)
 //   frame 1..n       one payload section each
 //
-// with each frame [fixed32 crc][varint len][payload] (serialize/frame.h).
-// The header count catches truncation at an exact frame boundary; every
-// other cut or flipped byte is caught by a frame CRC. Decoding a torn or
-// mutated message therefore always fails with Corruption — never a
-// crash, never a garbage request. On the socket, each message travels as
-// [u32 LE total length][message bytes] (server.h).
+// so it carries the same tamper-evidence contract: decoding a torn or
+// mutated message always fails with Corruption — never a crash, never a
+// garbage request. Scalar fields travel in "key\tvalue\n" meta blocks and
+// a response opens with its Status. On the socket, each message travels
+// as [u32 LE total length][message bytes] (server.h).
 //
 // Error taxonomy: structural problems (bad magic, wrong kind, bad CRC,
 // section-count mismatch, malformed meta) are Corruption; semantically
@@ -24,8 +22,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "checkpoint/store.h"
 #include "common/status.h"
 #include "flor/query.h"
 #include "service/service.h"
@@ -33,27 +33,10 @@
 namespace flor {
 namespace wire {
 
-/// Magic of frame 0; bumping it is a wire-format break.
-inline constexpr char kWireMagic[] = "florwir1";
-
 /// Default cap on one message's total encoded size (requests carry no
 /// bulk data; responses carry manifests and merged logs, which stay far
 /// below this for any realistic run).
 inline constexpr uint32_t kMaxWireMessageBytes = 64u << 20;
-
-/// Which side of the exchange a message claims to be. A response decoded
-/// as a request (or vice versa) is Corruption — a desynced stream must
-/// not be half-interpreted.
-enum class WireKind { kRequest, kResponse };
-
-/// Encodes `sections` as one wire message of `kind`.
-std::string EncodeWireSections(WireKind kind,
-                               const std::vector<std::string>& sections);
-
-/// Decodes a wire message back into its sections, requiring `expected`
-/// kind. Corruption on any structural problem.
-Result<std::vector<std::string>> DecodeWireSections(
-    WireKind expected, const std::string& data);
 
 /// One client request. `op` selects the Session call; the remaining
 /// fields are that call's arguments. Unknown ops/engines survive
@@ -72,23 +55,21 @@ struct Request {
 std::string EncodeRequest(const Request& req);
 Result<Request> DecodeRequest(const std::string& message);
 
-/// One server response: a status code + message, plus op-specific
-/// payload sections (see the *Reply structs).
+/// One server response: the call's Status, plus op-specific payload
+/// sections (see the *Reply structs). A failed call has no payload.
 struct Response {
-  int64_t code = 0;  ///< StatusCode as integer
-  std::string message;
+  Response() = default;
+  /// A failed call's response.
+  explicit Response(Status s) : status(std::move(s)) {}
+
+  Status status;
   std::vector<std::string> payload;
 
-  bool ok() const { return code == 0; }
-  /// Reconstructs the Status a failed call carried.
-  Status ToStatus() const;
+  bool ok() const { return status.ok(); }
 };
 
 std::string EncodeResponse(const Response& res);
 Result<Response> DecodeResponse(const std::string& message);
-
-/// The error-shaped response for `status` (no payload).
-Response ErrorResponse(const Status& status);
 
 /// record: the manifest as recorded, before any retirement pass prunes
 /// it — byte-identical to the manifest file an in-process Session::Record
@@ -109,8 +90,7 @@ struct ReplayReply {
   int64_t workers_used = 0;
   double latency_seconds = 0;
   double wall_seconds = 0;
-  int64_t bucket_faults = 0;
-  int64_t bloom_skipped_probes = 0;
+  TierStats tier;  ///< read-tier traffic summed over the workers
   bool deferred_ok = false;
   std::string merged_logs;
 };

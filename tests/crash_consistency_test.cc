@@ -27,10 +27,10 @@
 #include "checkpoint/store.h"
 #include "common/strings.h"
 #include "env/filesystem.h"
-#include "env/result_file.h"
 #include "exec/fork_runner.h"
 #include "exec/thread_runner.h"
 #include "flor/record.h"
+#include "serialize/sections.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -706,7 +706,7 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
     // half of a framed result, then die.
     PosixFileSystem child_fs(scratch);
     const std::string bytes =
-        EncodeResultSections({"half", "written", "fragment"});
+        EncodeSections("florres1", {"half", "written", "fragment"});
     (void)child_fs.AppendFile(
         exec::ForkRunner::ResultFileName(1),
         bytes.substr(0, bytes.size() / 2));
@@ -727,8 +727,9 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
   PosixFileSystem scratch_fs(scratch);
   ASSERT_TRUE(scratch_fs.Exists(
       exec::ForkRunner::ResultFileName(1)));
-  auto torn = ReadResultFile(&scratch_fs,
-                             exec::ForkRunner::ResultFileName(1));
+  auto torn_bytes = scratch_fs.ReadFile(exec::ForkRunner::ResultFileName(1));
+  ASSERT_TRUE(torn_bytes.ok());
+  auto torn = DecodeSections("florres1", *torn_bytes);
   ASSERT_FALSE(torn.ok());
   EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
   // Surviving fragments are intact and decodable.
@@ -801,7 +802,7 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
     if (worker_id != 1 || attempt != 1) return;
     PosixFileSystem child_fs(scratch);
     const std::string bytes =
-        EncodeResultSections({"half", "written", "fragment"});
+        EncodeSections("florres1", {"half", "written", "fragment"});
     (void)child_fs.AppendFile(
         exec::ForkRunner::ResultFileName(1, 1),
         bytes.substr(0, bytes.size() / 2));
@@ -818,8 +819,10 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
   // The torn attempt-1 file is still on disk and still refuses to parse;
   // the committed fragment lives at the attempt-2 name.
   PosixFileSystem scratch_fs(scratch);
-  auto torn = ReadResultFile(
-      &scratch_fs, exec::ForkRunner::ResultFileName(1, 1));
+  auto torn_bytes =
+      scratch_fs.ReadFile(exec::ForkRunner::ResultFileName(1, 1));
+  ASSERT_TRUE(torn_bytes.ok());
+  auto torn = DecodeSections("florres1", *torn_bytes);
   ASSERT_FALSE(torn.ok());
   EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
   auto committed = scratch_fs.ReadFile(

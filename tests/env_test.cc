@@ -13,9 +13,7 @@
 
 #include "env/background_queue.h"
 #include "env/env.h"
-#include "env/result_file.h"
 #include "env/scratch.h"
-#include "serialize/frame.h"
 #include "test_util.h"
 
 namespace flor {
@@ -192,71 +190,6 @@ TEST(Env, NonOwningSharedFilesystem) {
   EXPECT_EQ(*b.fs()->ReadFile("k"), "v");
   a.clock()->AdvanceMicros(100);
   EXPECT_EQ(b.clock()->NowMicros(), 0u);  // clocks independent
-}
-
-// ------------------------------------------------------- result files ---
-
-TEST(ResultFile, RoundTripsArbitrarySections) {
-  // Sections carry raw bytes: embedded NULs, tabs, newlines, emptiness.
-  const std::vector<std::string> sections = {
-      "plain", std::string("\0binary\0", 8), "tab\there\nand newline", ""};
-  const std::string encoded = EncodeResultSections(sections);
-  auto decoded = DecodeResultSections(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, sections);
-
-  // Zero sections is a valid (if empty) result.
-  auto none = DecodeResultSections(EncodeResultSections({}));
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none->empty());
-}
-
-TEST(ResultFile, EveryTruncationAndHeaderLieIsCorruption) {
-  const std::string encoded =
-      EncodeResultSections({"alpha", "beta", "gamma"});
-  // Every strict prefix fails — including the empty file and cuts at
-  // exact frame boundaries (the header's section count catches those).
-  for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    auto got = DecodeResultSections(encoded.substr(0, cut));
-    ASSERT_FALSE(got.ok()) << "prefix of " << cut << " bytes parsed";
-    EXPECT_TRUE(got.status().IsCorruption()) << "cut " << cut;
-  }
-  // Appending a stray well-formed frame is also a count mismatch.
-  std::string extra = encoded;
-  AppendFrame(&extra, "stray");
-  EXPECT_TRUE(DecodeResultSections(extra).status().IsCorruption());
-  // A frame stream without the florres header is rejected.
-  std::string headerless;
-  AppendFrame(&headerless, "not a header");
-  EXPECT_TRUE(DecodeResultSections(headerless).status().IsCorruption());
-}
-
-TEST(ResultFile, SingleByteMutationsNeverParse) {
-  const std::string encoded = EncodeResultSections({"alpha", "beta"});
-  for (size_t pos = 0; pos < encoded.size(); ++pos) {
-    std::string mutated = encoded;
-    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x20);
-    auto got = DecodeResultSections(mutated);
-    ASSERT_FALSE(got.ok()) << "mutation at " << pos << " parsed";
-    EXPECT_TRUE(got.status().IsCorruption()) << "mutation at " << pos;
-  }
-}
-
-TEST(ResultFile, WriteReadThroughFilesystem) {
-  MemFileSystem fs;
-  ASSERT_TRUE(WriteResultFile(&fs, "res/worker-0.res", {"a", "b"}).ok());
-  auto got = ReadResultFile(&fs, "res/worker-0.res");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, (std::vector<std::string>{"a", "b"}));
-  // Absent file: NotFound (the "worker never committed" signal), not
-  // Corruption.
-  auto missing = ReadResultFile(&fs, "res/worker-1.res");
-  ASSERT_FALSE(missing.ok());
-  EXPECT_TRUE(missing.status().IsNotFound());
-  // A flipped byte on disk: Corruption.
-  ASSERT_TRUE(fs.CorruptByte("res/worker-0.res", 6).ok());
-  EXPECT_TRUE(
-      ReadResultFile(&fs, "res/worker-0.res").status().IsCorruption());
 }
 
 // -------------------------------------------------------- scratch dirs ---

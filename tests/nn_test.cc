@@ -1,15 +1,16 @@
 // Unit tests: layers (incl. gradient checks), losses, optimizers,
-// schedulers, and model state serialization.
+// schedulers, and model state round trips through the checkpoint codec.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "checkpoint/checkpoint.h"
+#include "ir/value.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/scheduler.h"
-#include "nn/serialize.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -311,6 +312,17 @@ TEST(Scheduler, CyclicOscillates) {
   EXPECT_NEAR(sgd.lr(), 0.1f, 1e-5f);
 }
 
+/// Round-trips `src` into `dst` through the checkpoint path record and
+/// replay use: SnapshotValue -> EncodeCheckpoint -> DecodeCheckpoint ->
+/// RestoreValue.
+Status CheckpointRoundTrip(const ir::Value& src, ir::Value* dst) {
+  const std::string bytes =
+      EncodeCheckpoint({{"state", ir::SnapshotValue(src)}});
+  FLOR_ASSIGN_OR_RETURN(NamedSnapshots snaps, DecodeCheckpoint(bytes));
+  if (snaps.size() != 1) return Status::Corruption("expected one snapshot");
+  return ir::RestoreValue(snaps[0].second, dst);
+}
+
 TEST(Serialize, ModuleStateRoundTrip) {
   Rng rng = testutil::SeededRng(19);
   auto src = BuildMlp("mlp", {4, 6, 2}, &rng);
@@ -318,10 +330,9 @@ TEST(Serialize, ModuleStateRoundTrip) {
   auto dst = BuildMlp("mlp", {4, 6, 2}, &rng2);
   EXPECT_NE(src->StateFingerprint(), dst->StateFingerprint());
 
-  std::string bytes;
-  EncodeModuleState(&bytes, src.get());
-  Decoder dec(bytes);
-  ASSERT_TRUE(DecodeModuleState(&dec, dst.get()).ok());
+  ir::Value live = ir::Value::ModuleRef(dst.get());
+  ASSERT_TRUE(
+      CheckpointRoundTrip(ir::Value::ModuleRef(src.get()), &live).ok());
   EXPECT_EQ(src->StateFingerprint(), dst->StateFingerprint());
 }
 
@@ -329,10 +340,9 @@ TEST(Serialize, ModuleStructureMismatchRejected) {
   Rng rng = testutil::SeededRng(21);
   auto src = BuildMlp("mlp", {4, 6, 2}, &rng);
   auto other = BuildMlp("mlp", {4, 8, 2}, &rng);
-  std::string bytes;
-  EncodeModuleState(&bytes, src.get());
-  Decoder dec(bytes);
-  EXPECT_TRUE(DecodeModuleState(&dec, other.get()).IsCorruption());
+  ir::Value live = ir::Value::ModuleRef(other.get());
+  EXPECT_TRUE(CheckpointRoundTrip(ir::Value::ModuleRef(src.get()), &live)
+                  .IsCorruption());
 }
 
 TEST(Serialize, OptimizerStateRoundTrip) {
@@ -343,10 +353,8 @@ TEST(Serialize, OptimizerStateRoundTrip) {
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(src.Step().ok());
 
   Adam dst(&fc, 0.5f);
-  std::string bytes;
-  EncodeOptimizerState(&bytes, &src);
-  Decoder dec(bytes);
-  ASSERT_TRUE(DecodeOptimizerState(&dec, &dst).ok());
+  ir::Value live = ir::Value::OptimizerRef(&dst);
+  ASSERT_TRUE(CheckpointRoundTrip(ir::Value::OptimizerRef(&src), &live).ok());
   EXPECT_EQ(dst.step_count(), 3);
   EXPECT_FLOAT_EQ(dst.lr(), 0.01f);
   EXPECT_EQ(src.StateFingerprint(), dst.StateFingerprint());
@@ -357,10 +365,9 @@ TEST(Serialize, OptimizerKindMismatchRejected) {
   Linear fc("fc", 2, 2, &rng);
   Sgd sgd(&fc, 0.1f);
   Adam adam(&fc, 0.1f);
-  std::string bytes;
-  EncodeOptimizerState(&bytes, &sgd);
-  Decoder dec(bytes);
-  EXPECT_TRUE(DecodeOptimizerState(&dec, &adam).IsCorruption());
+  ir::Value live = ir::Value::OptimizerRef(&adam);
+  EXPECT_TRUE(CheckpointRoundTrip(ir::Value::OptimizerRef(&sgd), &live)
+                  .IsCorruption());
 }
 
 TEST(Serialize, SchedulerStateRoundTrip) {
@@ -371,10 +378,8 @@ TEST(Serialize, SchedulerStateRoundTrip) {
   src.Step();
   src.Step();
   StepLr dst(&sgd, 3, 0.1f);
-  std::string bytes;
-  EncodeSchedulerState(&bytes, &src);
-  Decoder dec(bytes);
-  ASSERT_TRUE(DecodeSchedulerState(&dec, &dst).ok());
+  ir::Value live = ir::Value::SchedulerRef(&dst);
+  ASSERT_TRUE(CheckpointRoundTrip(ir::Value::SchedulerRef(&src), &live).ok());
   EXPECT_EQ(dst.epoch(), 2);
 }
 

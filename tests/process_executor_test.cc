@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "checkpoint/gc.h"
-#include "env/result_file.h"
 #include "env/scratch.h"
 #include "exec/fork_runner.h"
 #include "exec/thread_runner.h"
@@ -744,7 +743,7 @@ TEST_F(ProcessReplayTest, TruncatedOrMutatedResultFileNeverParses) {
         << "trial " << trial << ": " << got.status().ToString();
   }
   // A missing result file is NotFound, not Corruption.
-  auto missing = ReadResultFile(&scratch_fs, "worker-9.res");
+  auto missing = scratch_fs.ReadFile("worker-9.res");
   ASSERT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().IsNotFound());
 }

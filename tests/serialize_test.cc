@@ -1,4 +1,5 @@
-// Unit + property tests: coding primitives, compression codecs, frames.
+// Unit + property tests: coding primitives, compression codecs, frames,
+// sectioned messages.
 
 #include <gtest/gtest.h>
 
@@ -6,9 +7,11 @@
 
 #include "common/crc32.h"
 #include "common/random.h"
+#include "env/filesystem.h"
 #include "serialize/coding.h"
 #include "serialize/compress.h"
 #include "serialize/frame.h"
+#include "serialize/sections.h"
 #include "test_util.h"
 
 namespace flor {
@@ -199,8 +202,7 @@ TEST_P(CompressRoundTrip, Lossless) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCodecsAndSizes, CompressRoundTrip,
-    ::testing::Combine(::testing::Values(Codec::kNone, Codec::kRle,
-                                         Codec::kLz),
+    ::testing::Combine(::testing::Values(Codec::kNone, Codec::kLz),
                        ::testing::Values(size_t{0}, size_t{1}, size_t{7},
                                          size_t{255}, size_t{4096},
                                          size_t{1} << 17),
@@ -208,16 +210,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Compress, CompressibleShrinks) {
   const std::string input = CompressibleBytes(1 << 16, 3);
-  EXPECT_LT(Compress(input, Codec::kRle).size(), input.size() / 2);
   EXPECT_LT(Compress(input, Codec::kLz).size(), input.size() / 2);
 }
 
 TEST(Compress, IncompressibleFallsBackToRaw) {
   const std::string input = RandomBytes(1 << 14, 5);
   std::string packed = Compress(input, Codec::kLz);
-  auto codec = PeekCodec(packed);
-  ASSERT_TRUE(codec.ok());
-  EXPECT_EQ(*codec, Codec::kNone);  // stored raw, never inflated
+  // Stored raw, never inflated.
+  EXPECT_EQ(static_cast<Codec>(packed[0]), Codec::kNone);
   EXPECT_LE(packed.size(), input.size() + 16);
 }
 
@@ -246,9 +246,7 @@ TEST(Compress, MixedDenseAndZeroRegionsCompressPerRegion) {
   const std::string input =
       GaussianFloatBytes(size_t{1} << 16, 11) + std::string(1 << 18, '\0');
   const std::string packed = Compress(input, Codec::kLz);
-  auto codec = PeekCodec(packed);
-  ASSERT_TRUE(codec.ok());
-  EXPECT_EQ(*codec, Codec::kLz);
+  EXPECT_EQ(static_cast<Codec>(packed[0]), Codec::kLz);
   EXPECT_LT(static_cast<double>(packed.size()) /
                 static_cast<double>(input.size()),
             0.6);
@@ -260,9 +258,7 @@ TEST(Compress, MixedDenseAndZeroRegionsCompressPerRegion) {
 TEST(Compress, DenseGaussianFallsBackToRaw) {
   const std::string input = GaussianFloatBytes(size_t{1} << 20, 12);  // 4 MiB
   const std::string packed = Compress(input, Codec::kLz);
-  auto codec = PeekCodec(packed);
-  ASSERT_TRUE(codec.ok());
-  EXPECT_EQ(*codec, Codec::kNone);
+  EXPECT_EQ(static_cast<Codec>(packed[0]), Codec::kNone);
   EXPECT_LE(packed.size(), input.size() + 16);
   auto out = Decompress(packed);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -301,20 +297,17 @@ TEST(Compress, RunHeavyEncodingIsPinned) {
 TEST(Compress, TornBlobsAreCorruptionNotCrashes) {
   const std::string input =
       CompressibleBytes(4096, 13) + GaussianFloatBytes(256, 14);
-  for (Codec codec : {Codec::kRle, Codec::kLz}) {
-    const std::string packed = Compress(input, codec);
-    for (size_t cut = 0; cut < packed.size(); ++cut) {
-      EXPECT_FALSE(Decompress(packed.substr(0, cut)).ok()) << "cut=" << cut;
-    }
-    Rng rng = testutil::SeededRng(15);
-    for (int trial = 0; trial < 2000; ++trial) {
-      std::string torn = packed;
-      torn[rng.Uniform(torn.size())] ^=
-          static_cast<char>(1 + rng.Uniform(255));
-      auto out = Decompress(torn);  // ok or Corruption; never a crash
-      if (!out.ok()) {
-        EXPECT_TRUE(out.status().IsCorruption());
-      }
+  const std::string packed = Compress(input, Codec::kLz);
+  for (size_t cut = 0; cut < packed.size(); ++cut) {
+    EXPECT_FALSE(Decompress(packed.substr(0, cut)).ok()) << "cut=" << cut;
+  }
+  Rng rng = testutil::SeededRng(15);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string torn = packed;
+    torn[rng.Uniform(torn.size())] ^= static_cast<char>(1 + rng.Uniform(255));
+    auto out = Decompress(torn);  // ok or Corruption; never a crash
+    if (!out.ok()) {
+      EXPECT_TRUE(out.status().IsCorruption());
     }
   }
   // A header claiming far more output than the body can encode is
@@ -332,10 +325,19 @@ TEST(Compress, MalformedInputRejected) {
   std::string bogus;
   bogus.push_back(9);  // unknown codec byte
   EXPECT_TRUE(Decompress(bogus).status().IsCorruption());
+  // Unknown tags stay Corruption behind a well-formed size header and
+  // body, including the retired run-length tag 1.
+  for (char tag : {char{1}, char{9}}) {
+    std::string blob;
+    blob.push_back(tag);
+    PutVarint64(&blob, 4);
+    blob.append("abcd");
+    EXPECT_TRUE(Decompress(blob).status().IsCorruption()) << int{tag};
+  }
 }
 
 TEST(Compress, SizeMismatchDetected) {
-  std::string packed = Compress("hello world, hello world", Codec::kRle);
+  std::string packed = Compress("hello world, hello world", Codec::kLz);
   packed.pop_back();  // truncate body
   EXPECT_FALSE(Decompress(packed).ok());
 }
@@ -370,6 +372,148 @@ TEST(Frame, ReaderReportsEofAsNotFound) {
   std::string payload;
   ASSERT_TRUE(reader.Next(&payload).ok());
   EXPECT_TRUE(reader.Next(&payload).IsNotFound());
+}
+
+// ---------------------------------------------- worker result sections ---
+// A fork-runner worker's result file is one "florres1" sectioned message.
+
+constexpr char kResultTag[] = "florres1";
+
+TEST(ResultFile, RoundTripsArbitrarySections) {
+  // Sections carry raw bytes: embedded NULs, tabs, newlines, emptiness.
+  const std::vector<std::string> sections = {
+      "plain", std::string("\0binary\0", 8), "tab\there\nand newline", ""};
+  const std::string encoded = EncodeSections(kResultTag, sections);
+  auto decoded = DecodeSections(kResultTag, encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, sections);
+
+  // Zero sections is a valid (if empty) result.
+  auto none = DecodeSections(kResultTag, EncodeSections(kResultTag, {}));
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+}
+
+TEST(ResultFile, EveryTruncationAndHeaderLieIsCorruption) {
+  const std::string encoded =
+      EncodeSections(kResultTag, {"alpha", "beta", "gamma"});
+  // Every strict prefix fails — including the empty file and cuts at
+  // exact frame boundaries (the header's section count catches those).
+  for (size_t cut = 0; cut < encoded.size(); ++cut) {
+    auto got = DecodeSections(kResultTag, encoded.substr(0, cut));
+    ASSERT_FALSE(got.ok()) << "prefix of " << cut << " bytes parsed";
+    EXPECT_TRUE(got.status().IsCorruption()) << "cut " << cut;
+  }
+  // Appending a stray well-formed frame is also a count mismatch.
+  std::string extra = encoded;
+  AppendFrame(&extra, "stray");
+  EXPECT_TRUE(DecodeSections(kResultTag, extra).status().IsCorruption());
+  // A frame stream without the florres header is rejected.
+  std::string headerless;
+  AppendFrame(&headerless, "not a header");
+  EXPECT_TRUE(
+      DecodeSections(kResultTag, headerless).status().IsCorruption());
+}
+
+TEST(ResultFile, SingleByteMutationsNeverParse) {
+  const std::string encoded = EncodeSections(kResultTag, {"alpha", "beta"});
+  for (size_t pos = 0; pos < encoded.size(); ++pos) {
+    std::string mutated = encoded;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x20);
+    auto got = DecodeSections(kResultTag, mutated);
+    ASSERT_FALSE(got.ok()) << "mutation at " << pos << " parsed";
+    EXPECT_TRUE(got.status().IsCorruption()) << "mutation at " << pos;
+  }
+}
+
+TEST(ResultFile, WriteReadThroughFilesystem) {
+  MemFileSystem fs;
+  ASSERT_TRUE(
+      fs.WriteFile("res/worker-0.res", EncodeSections(kResultTag, {"a", "b"}))
+          .ok());
+  auto read = [&fs](const std::string& path)
+      -> Result<std::vector<std::string>> {
+    FLOR_ASSIGN_OR_RETURN(std::string data, fs.ReadFile(path));
+    return DecodeSections(kResultTag, data);
+  };
+  auto got = read("res/worker-0.res");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, (std::vector<std::string>{"a", "b"}));
+  // Absent file: NotFound (the "worker never committed" signal), not
+  // Corruption.
+  auto missing = read("res/worker-1.res");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_TRUE(missing.status().IsNotFound());
+  // A flipped byte on disk: Corruption.
+  ASSERT_TRUE(fs.CorruptByte("res/worker-0.res", 6).ok());
+  EXPECT_TRUE(read("res/worker-0.res").status().IsCorruption());
+}
+
+// ----------------------------------------------------------- sections ---
+
+TEST(Sections, HeaderBytesArePinned) {
+  // Frame 0 payload is "<tag>\t<n>"; wire tags carry the message kind.
+  for (const char* tag : {"florres1", "florwir1\treq"}) {
+    auto frames = ReadFrames(EncodeSections(tag, {"x", "y"}));
+    ASSERT_TRUE(frames.ok());
+    ASSERT_EQ(frames->size(), 3u);
+    EXPECT_EQ((*frames)[0], std::string(tag) + "\t2");
+  }
+  // A message of another tag — even one sharing a prefix — is Corruption.
+  const std::string request = EncodeSections("florwir1\treq", {"x"});
+  EXPECT_TRUE(
+      DecodeSections("florwir1\tres", request).status().IsCorruption());
+  EXPECT_TRUE(DecodeSections("florwir1", request).status().IsCorruption());
+}
+
+TEST(Sections, MetaBlockRoundTripsBitExact) {
+  struct Counts {
+    int64_t a = 0;
+    int64_t b = 0;
+  };
+  static constexpr CounterField<Counts> kCountFields[] = {
+      {"a", &Counts::a}, {"b", &Counts::b}};
+  const Counts counts{-3, 1ll << 40};
+  const std::string block = MetaWriter()
+                                .Str("name", "tab\tinside")
+                                .Int("n", -42)
+                                .Double("x", 0.1)
+                                .Bool("flag", true)
+                                .Counters(counts, kCountFields)
+                                .Finish();
+  EXPECT_EQ(block,
+            "name\ttab\tinside\nn\t-42\nx\t0x1.999999999999ap-4\n"
+            "flag\t1\na\t-3\nb\t1099511627776\n");
+  MetaReader meta(block, "test");
+  EXPECT_EQ(*meta.Str("name"), "tab\tinside");
+  EXPECT_EQ(*meta.Int("n"), -42);
+  EXPECT_EQ(*meta.Double("x"), 0.1);
+  EXPECT_TRUE(*meta.Bool("flag"));
+  Counts back;
+  ASSERT_TRUE(meta.Counters(&back, kCountFields).ok());
+  EXPECT_EQ(back.a, counts.a);
+  EXPECT_EQ(back.b, counts.b);
+  EXPECT_TRUE(meta.Finish().ok());
+
+  // Unparseable values and an unterminated last line are Corruption.
+  EXPECT_TRUE(MetaReader("n\tx\n", "t").Int("n").status().IsCorruption());
+  EXPECT_TRUE(MetaReader("x\t?\n", "t").Double("x").status().IsCorruption());
+  EXPECT_TRUE(MetaReader("f\t2\n", "t").Bool("f").status().IsCorruption());
+  EXPECT_TRUE(MetaReader("n\t1", "t").Int("n").status().IsCorruption());
+}
+
+TEST(Sections, StatusRoundTripsAndRejectsUnknownCodes) {
+  std::vector<std::string> sections;
+  AppendStatusSections(Status::NotFound("no such run"), &sections);
+  ASSERT_EQ(sections.size(), 2u);
+  EXPECT_EQ(sections[0], "code\t2\n");
+  Status back;
+  ASSERT_TRUE(ReadStatusSections(sections, &back).ok());
+  EXPECT_EQ(back, Status::NotFound("no such run"));
+
+  sections[0] = "code\t99\n";
+  EXPECT_TRUE(ReadStatusSections(sections, &back).IsCorruption());
+  EXPECT_TRUE(ReadStatusSections({"code\t0\n"}, &back).IsCorruption());
 }
 
 }  // namespace

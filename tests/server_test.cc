@@ -122,28 +122,25 @@ TEST(WireTest, RequestRoundTripsAllFields) {
 
 TEST(WireTest, ResponseRoundTripsBinaryPayload) {
   wire::Response res;
-  res.code = 0;
-  res.message = "";
   res.payload = {"meta\tline", std::string("\0bulk\0", 6), ""};
   auto decoded = wire::DecodeResponse(wire::EncodeResponse(res));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->code, 0);
+  EXPECT_TRUE(decoded->ok());
   EXPECT_EQ(decoded->payload, res.payload);
 
   // An error response reconstructs the Status it carried.
   const Status original = Status::NotFound("no such run: svc/alice/r9");
   auto err = wire::DecodeResponse(
-      wire::EncodeResponse(wire::ErrorResponse(original)));
+      wire::EncodeResponse(wire::Response(original)));
   ASSERT_TRUE(err.ok()) << err.status().ToString();
   EXPECT_FALSE(err->ok());
-  const Status back = err->ToStatus();
+  const Status back = err->status;
   EXPECT_TRUE(back.IsNotFound());
   EXPECT_EQ(back.message(), original.message());
 
   // A code outside the Status enum is structural Corruption — a decoder
   // must never cast garbage into a StatusCode.
-  wire::Response bogus;
-  bogus.code = 99;
+  wire::Response bogus(Status(static_cast<StatusCode>(99), ""));
   auto rejected = wire::DecodeResponse(wire::EncodeResponse(bogus));
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsCorruption())
@@ -161,7 +158,7 @@ TEST(WireTest, KindMismatchIsCorruption) {
       << as_response.status().ToString();
 
   const std::string response_bytes =
-      wire::EncodeResponse(wire::ErrorResponse(Status::OK()));
+      wire::EncodeResponse(wire::Response(Status::OK()));
   auto as_request = wire::DecodeRequest(response_bytes);
   ASSERT_FALSE(as_request.ok());
   EXPECT_TRUE(as_request.status().IsCorruption())
@@ -203,6 +200,57 @@ TEST(WireTest, SingleByteMutationsNeverParse) {
   }
 }
 
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+// --- Wire-format guard, like ServiceTest.WorkerResultWireFormatIsPinned:
+// --- the header frame, every meta key and its order are pinned; a change
+// --- here is a wire break between client and server builds.
+TEST(WireTest, MessageBytesArePinned) {
+  wire::Request req;
+  req.op = "replay";
+  req.tenant = "alice";
+  req.run = "run-1";
+  req.workload = "svc";
+  req.engine = "threads";
+  req.workers = 4;
+  req.loop_id = 2;
+  req.ctx = "e=3";
+  EXPECT_EQ(ToHex(wire::EncodeRequest(req)),
+            "19024a980e666c6f72776972310972657109323d689e90516f70097265706c61"
+            "790a74656e616e7409616c6963650a72756e0972756e2d310a776f726b6c6f61"
+            "64097376630a656e67696e6509746872656164730a776f726b65727309340a6c"
+            "6f6f705f696409320a067c1bde03653d33");
+
+  wire::ReplayReply rep;
+  rep.workers_used = 4;
+  rep.latency_seconds = 1.5;
+  rep.wall_seconds = 0.25;
+  rep.tier.bucket_faults = 7;
+  rep.tier.rehydrated_objects = 3;
+  rep.tier.rehydrate_failures = 1;
+  rep.tier.bloom_skipped_probes = 9;
+  rep.tier.bloom_false_positives = 2;
+  rep.deferred_ok = true;
+  rep.merged_logs = "11\te=2/i=0\t0\tloss\t0.125\n";
+  EXPECT_EQ(ToHex(wire::EncodeResponse(wire::MakeReplayReply(rep))),
+            "fcb784f10e666c6f727769723109726573093448158c8907636f646509300a00"
+            "000000000ca8e5f1b301776f726b6572735f7573656409340a6c6174656e6379"
+            "5f7365636f6e6473093078312e38702b300a77616c6c5f7365636f6e64730930"
+            "7831702d320a6275636b65745f6661756c747309370a72656879647261746564"
+            "5f6f626a6563747309330a7265687964726174655f6661696c7572657309310a"
+            "626c6f6f6d5f736b69707065645f70726f62657309390a626c6f6f6d5f66616c"
+            "73655f706f7369746976657309320a64656665727265645f6f6b09310a577448"
+            "5818313109653d322f693d300930096c6f737309302e3132350a");
+}
+
 TEST(WireTest, RepliesRoundTripBitExactDoubles) {
   // Doubles travel as hexfloats: 0.1 and friends must come back
   // bit-identical, not shortest-decimal approximations.
@@ -222,8 +270,8 @@ TEST(WireTest, RepliesRoundTripBitExactDoubles) {
   rep.workers_used = 4;
   rep.latency_seconds = 1234.5678901234567;
   rep.wall_seconds = 2.5e-3;
-  rep.bucket_faults = 17;
-  rep.bloom_skipped_probes = 5;
+  rep.tier.bucket_faults = 17;
+  rep.tier.bloom_skipped_probes = 5;
   rep.deferred_ok = true;
   rep.merged_logs = "11\te=2/i=0\t0\tloss\t0.125\n";
   auto rep_back = wire::ParseReplayReply(wire::MakeReplayReply(rep));
@@ -231,8 +279,9 @@ TEST(WireTest, RepliesRoundTripBitExactDoubles) {
   EXPECT_EQ(rep_back->workers_used, rep.workers_used);
   EXPECT_EQ(rep_back->latency_seconds, rep.latency_seconds);
   EXPECT_EQ(rep_back->wall_seconds, rep.wall_seconds);
-  EXPECT_EQ(rep_back->bucket_faults, rep.bucket_faults);
-  EXPECT_EQ(rep_back->bloom_skipped_probes, rep.bloom_skipped_probes);
+  EXPECT_EQ(rep_back->tier.bucket_faults, rep.tier.bucket_faults);
+  EXPECT_EQ(rep_back->tier.bloom_skipped_probes,
+            rep.tier.bloom_skipped_probes);
   EXPECT_TRUE(rep_back->deferred_ok);
   EXPECT_EQ(rep_back->merged_logs, rep.merged_logs);
 
@@ -562,8 +611,8 @@ TEST_F(ServerTest, TypedErrorsKeepTheConnectionUsable) {
   for (const Case& c : cases) {
     auto res = client->Call(c.req);
     ASSERT_TRUE(res.ok()) << res.status().ToString();
-    EXPECT_EQ(res->code, static_cast<int64_t>(c.expected))
-        << "op " << c.req.op << ": " << res->message;
+    EXPECT_TRUE(res->status.code() == c.expected)
+        << "op " << c.req.op << ": " << res->status.message();
   }
 
   // Same client, same stream: a valid request still works afterwards.
@@ -601,8 +650,8 @@ TEST_F(ServerTest, NoResolverMeansRecordReplayNotSupported) {
   record.workload = "svc";
   auto res = client->Call(record);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res->code, static_cast<int64_t>(StatusCode::kNotSupported))
-      << res->message;
+  EXPECT_TRUE(res->status.code() == StatusCode::kNotSupported)
+      << res->status.message();
 
   // query/exists still work without a resolver.
   wire::Request query;
@@ -635,8 +684,8 @@ TEST_F(ServerTest, CorruptMessageGetsTypedResponseThenHangup) {
   ASSERT_TRUE(client->SendBytes(mutated).ok());
   auto res = client->ReadResponse();
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res->code, static_cast<int64_t>(StatusCode::kCorruption))
-      << res->message;
+  EXPECT_TRUE(res->status.code() == StatusCode::kCorruption)
+      << res->status.message();
   // After a corrupt message the server hangs up — stream alignment is
   // untrusted. The next exchange on this client fails...
   auto after = client->Call(query);
@@ -668,10 +717,11 @@ TEST_F(ServerTest, OversizedDeclaredLengthIsCorruption) {
   ASSERT_TRUE(client->SendRawPrefix(1u << 20, "").ok());
   auto res = client->ReadResponse();
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res->code, static_cast<int64_t>(StatusCode::kCorruption))
-      << res->message;
-  EXPECT_NE(res->message.find("exceeds the limit"), std::string::npos)
-      << res->message;
+  EXPECT_TRUE(res->status.code() == StatusCode::kCorruption)
+      << res->status.message();
+  EXPECT_NE(res->status.message().find("exceeds the limit"),
+            std::string::npos)
+      << res->status.message();
   EXPECT_EQ((*server)->stats().corrupt_messages, 1);
 }
 
@@ -720,7 +770,7 @@ TEST_F(ServerTest, DrainedConnectionRefusesWithUnavailable) {
   query.tenant = "alice";
   auto before = client->Call(query);
   ASSERT_TRUE(before.ok());
-  EXPECT_TRUE(before->ok()) << before->message;
+  EXPECT_TRUE(before->ok()) << before->status.message();
 
   ASSERT_TRUE((*conn)->Close().ok());
 
@@ -728,9 +778,8 @@ TEST_F(ServerTest, DrainedConnectionRefusesWithUnavailable) {
   // the client sees the drain, not a dropped socket.
   auto after = client->Call(query);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(after->code, static_cast<int64_t>(StatusCode::kUnavailable))
-      << after->message;
-  EXPECT_TRUE(after->ToStatus().code() == StatusCode::kUnavailable);
+  EXPECT_TRUE(after->status.code() == StatusCode::kUnavailable)
+      << after->status.message();
 
   const ServerStats stats = (*server)->stats();
   EXPECT_EQ(stats.unavailable_refusals, 1);
@@ -772,7 +821,7 @@ TEST_F(ServerTest, ShortConnectionsDoNotAccumulateHandlerThreads) {
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     auto res = client->Call(query);
     ASSERT_TRUE(res.ok()) << res.status().ToString();
-    EXPECT_TRUE(res->ok()) << res->message;
+    EXPECT_TRUE(res->ok()) << res->status.message();
   };
   // Warm up with overlapping clients first: the allocator gives each
   // concurrently live thread its own arena (64 MiB of address space), so

@@ -14,11 +14,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/gc.h"
@@ -26,7 +28,9 @@
 #include "env/filesystem.h"
 #include "flor/record.h"
 #include "flor/replay_plan.h"
+#include "serialize/sections.h"
 #include "service/service.h"
+#include "service/wire.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -510,6 +514,55 @@ TEST(ServiceTest, WorkerResultWireFormatIsPinned) {
   for (const auto& f : TierStats::kFields)
     EXPECT_EQ(decoded->tier.*f.member, r.tier.*f.member) << f.name;
   EXPECT_EQ(decoded->logs.Serialize(), r.logs.Serialize());
+}
+
+// The meta reader accepts only the key sequence its writer emits: a
+// missing, an extra, a duplicated or a reordered key is Corruption, on the
+// worker result and on the wire request alike. Each tampered block is
+// re-framed with valid CRCs, so only the meta reader can catch it.
+TEST(ServiceTest, MetaBlocksRejectMissingExtraDuplicatedAndReorderedKeys) {
+  using Lines = std::vector<std::string>;
+  const std::vector<std::pair<const char*, std::function<void(Lines*)>>>
+      tampers = {
+          {"missing", [](Lines* l) { l->erase(l->begin() + 1); }},
+          {"extra", [](Lines* l) { l->push_back("bogus\t1"); }},
+          {"duplicated",
+           [](Lines* l) { l->insert(l->begin() + 1, (*l)[0]); }},
+          {"reordered", [](Lines* l) { std::swap((*l)[0], (*l)[1]); }},
+      };
+
+  wire::Request req;
+  req.op = "exists";
+  req.tenant = "alice";
+  req.run = "run-1";
+  struct Message {
+    const char* name;
+    std::string tag;
+    std::string bytes;
+    std::function<Status(const std::string&)> decode;
+  };
+  const std::vector<Message> messages = {
+      {"worker result", "florres1", EncodeWorkerResult(ReplayResult()),
+       [](const std::string& b) { return DecodeWorkerResult(b).status(); }},
+      {"wire request", "florwir1\treq", wire::EncodeRequest(req),
+       [](const std::string& b) { return wire::DecodeRequest(b).status(); }},
+  };
+  for (const Message& m : messages) {
+    ASSERT_TRUE(m.decode(m.bytes).ok()) << m.name;
+    auto sections = DecodeSections(m.tag, m.bytes);
+    ASSERT_TRUE(sections.ok()) << m.name;
+    for (const auto& [what, tamper] : tampers) {
+      Lines lines = StrSplit((*sections)[0], '\n');
+      ASSERT_TRUE(lines.back().empty());  // every line is terminated
+      lines.pop_back();
+      tamper(&lines);
+      std::vector<std::string> edited = *sections;
+      edited[0] = StrJoin(lines, "\n") + "\n";
+      const Status got = m.decode(EncodeSections(m.tag, edited));
+      EXPECT_TRUE(got.IsCorruption())
+          << m.name << ", " << what << " key: " << got.ToString();
+    }
+  }
 }
 
 // --- Fairness, per-tenant accounting, the GC failure ring, and graceful
